@@ -191,12 +191,7 @@ def cmd_search(args) -> int:
     if vector.total < 1:
         raise CliError("zero vector", EXIT_DOMAIN)
     _check_guard(vector.total, args.limit)
-    report = search(
-        vector,
-        valuation=args.valuation,
-        direction=args.direction,
-        jobs=args.jobs,
-    )
+    report = search(vector, valuation=args.valuation, direction=args.direction)
     payload = {
         "vector": list(vector.counts),
         "alphabet": list(alphabet.symbols),
@@ -332,9 +327,7 @@ def cmd_xi(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
-def _add_common(
-    p: argparse.ArgumentParser, *, jobs: bool = False, default_format: str = "text"
-) -> None:
+def _add_common(p: argparse.ArgumentParser, *, default_format: str = "text") -> None:
     p.add_argument("--alphabet", help="symbols, as characters or comma-separated")
     p.add_argument("--values", help="comma-separated integer values per symbol")
     p.add_argument(
@@ -345,11 +338,6 @@ def _add_common(
         "--limit", type=int, default=DEFAULT_LIMIT,
         help=f"enumeration size guard (default {DEFAULT_LIMIT})",
     )
-    if jobs:
-        p.add_argument(
-            "--jobs", type=int, default=1,
-            help="parallel evaluation degree (default 1)",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("search", help="exhaustive extremal search over a class")
-    _add_common(p, jobs=True, default_format="json")
+    _add_common(p, default_format="json")
     p.add_argument("--vector", required=True)
     val = p.add_mutually_exclusive_group(required=True)
     val.add_argument(

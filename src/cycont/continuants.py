@@ -12,7 +12,10 @@ a representative with the value on its interior:
     K_cyc(x1..xn)  = K(x1..xn)  + K(x2..x{n-1})
     Kd_cyc(x1..xn) = Kd(x1..xn) - Kd(x2..x{n-1})
 
-both independent of the chosen rotation.  All arithmetic is exact (Python
+both independent of the chosen rotation.  For n >= 2 each equals the trace
+of the product of [[xi, s], [1, 0]] (s = +1 regular, -1 semi-regular).  A
+one-letter word x has the empty interior K() = 1, so its cyclic values are
+x + 1 and x - 1, not the trace x.  All arithmetic is exact (Python
 integers, fractions.Fraction for quotients); evaluation is iterative.
 """
 

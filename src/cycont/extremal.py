@@ -19,12 +19,11 @@ membership.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Literal, Mapping, Sequence
 
-from .continuants import DomainError, _K, resolve_values
+from .continuants import DomainError, resolve_values
 from .words import (
     CyclicWord,
     LinearWord,
@@ -32,8 +31,9 @@ from .words import (
     _cmp_alt,
     _cmp_lex,
     _least_rotation,
-    _necklaces,
+    _necklace_walk,
     _splits,
+    enumerate_class,
 )
 
 Direction = Literal["max", "min"]
@@ -134,32 +134,20 @@ def reversal_class_representative(omega: CyclicWord) -> CyclicWord:
 
 # -- exhaustive extremal search ------------------------------------------------
 
-def _eval_words(
-    words: Sequence[tuple[int, ...]], values: tuple[int, ...], sign: int
-) -> list[int]:
-    out = []
-    for t in words:
-        w = tuple(values[i] for i in t)
-        out.append(_K(w, sign) + sign * _K(w[1:-1], sign))
-    return out
-
-
-def _eval_chunk(args: tuple) -> list[int]:
-    return _eval_words(*args)
-
-
 def search(
     vector: ParikhVector,
     values: Sequence[int] | None = None,
     valuation: str = "semiregular",
     direction: Direction = "max",
-    jobs: int = 1,
 ) -> SearchReport:
     """Exhaustively evaluate the cyclic continuant over a cyclic Abelian class.
 
     Returns every optimizer (ties are reported, never broken), each with its
-    full membership certificate.  Evaluation order is deterministic; with
-    jobs > 1 the class is scored in order-preserving parallel chunks.
+    full membership certificate.  Members are scored inside one enumeration
+    walk, in lexicographic order of their canonical representatives; only
+    the running optimum and its ties are kept, so memory does not grow with
+    the class.  A one-letter class {x} has the value x + 1 (regular) or
+    x - 1 (semi-regular).
     """
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
@@ -171,22 +159,24 @@ def search(
             "extremal search needs values strictly increasing with symbol order"
         )
     sign = 1 if valuation == "regular" else -1
-    words = list(_necklaces(vector.counts))
+    flip = 1 if direction == "max" else -1
 
-    if jobs > 1 and len(words) > 1:
-        size = max(1, (len(words) + jobs - 1) // jobs)
-        chunks = [words[i : i + size] for i in range(0, len(words), size)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            scored: list[int] = []
-            for part in pool.map(
-                _eval_chunk, [(c, vals, sign) for c in chunks]
-            ):
-                scored.extend(part)
-    else:
-        scored = _eval_words(words, vals, sign)
+    walk = _necklace_walk(vector.counts, vals, sign)
+    t, best = next(walk)
+    best *= flip
+    arg = [t]
+    size = 1
+    for size, (t, v) in enumerate(walk, 2):
+        v *= flip
+        if v >= best:
+            if v > best:
+                best, arg = v, [t]
+            else:
+                arg.append(t)
+    best *= flip
+    if vector.total == 1:
+        best += sign
 
-    best = max(scored) if direction == "max" else min(scored)
-    arg = [t for t, s in zip(words, scored) if s == best]
     alphabet = vector.alphabet
     optima = tuple(CyclicWord(LinearWord(alphabet, t)) for t in arg)
     certificates = tuple(classify(w) for w in optima)
@@ -201,7 +191,7 @@ def search(
         optima=optima,
         certificates=certificates,
         unique_up_to_reversal=unique,
-        class_size=len(words),
+        class_size=size,
     )
 
 
@@ -264,12 +254,10 @@ def build_exchange_graph(
     """Exchange graph of the symmetric cyclic Abelian class of the vector."""
     if vector.total < 1:
         raise ValueError("cannot build the graph of the zero vector")
-    alphabet = vector.alphabet
     cmp = kind.cmp
 
     reps: dict[tuple[int, ...], CyclicWord] = {}
-    for t in _necklaces(vector.counts):
-        word = CyclicWord(LinearWord(alphabet, t))
+    for word in enumerate_class(vector):
         rep = reversal_class_representative(word)
         reps.setdefault(rep.indices, rep)
     vertices = tuple(reps[key] for key in sorted(reps))

@@ -20,9 +20,10 @@ regular ones; the continuants module exposes the quotients used to
 cross-check that empirically.
 
 Cyclic Abelian classes (all cyclic words with a given Parikh vector) are
-enumerated with an FKM-style fixed-content necklace generator, yielding
-each class member exactly once in lexicographic order of canonical
-representatives.
+enumerated by one FKM-style fixed-content necklace walk, yielding each
+class member exactly once in lexicographic order of canonical
+representatives.  The walk also carries the cyclic continuant of each
+member down the tree, so extremal search scores the class as it goes.
 """
 
 from __future__ import annotations
@@ -372,11 +373,22 @@ def split_points(omega: CyclicWord) -> Iterator[tuple[LinearWord, LinearWord]]:
 
 # -- cyclic Abelian class enumeration -----------------------------------------
 
-def _necklaces(counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Necklaces (least rotations) with fixed content, in lexicographic order.
+def _necklace_walk(
+    counts: Sequence[int], values: Sequence[int], sign: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Necklaces with fixed content, in lexicographic order, with their traces.
 
-    FKM-style prenecklace recursion with remaining-count pruning; a full
-    word is emitted when its length is a multiple of its last period.
+    FKM-style prenecklace walk with remaining-count pruning, run in one
+    frame over explicit per-depth stacks; a full word is emitted when its
+    length is a multiple of its last period.  Each necklace x1..xn comes
+    with the trace of the product of [[values[xi], sign], [1, 0]], carried
+    down the walk as two continuant recurrences, O(1) work per node:
+
+        P[t] = K(x1..xt),  R[t] = K(x2..xt),  trace = P[n] + sign * R[n-1]
+
+    For n >= 2 the trace is the cyclic continuant (sign +1 regular, -1
+    semi-regular); for n == 1 it is the bare value x1.  Callers that only
+    need the necklaces pass zero values and sign 0.
     """
     n = sum(counts)
     if n == 0:
@@ -384,27 +396,57 @@ def _necklaces(counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     k = len(counts)
     rem = list(counts)
     first = next(i for i, c in enumerate(counts) if c)
-    a = [0] * (n + 1)
-    a[1] = first
     rem[first] -= 1
-
-    def gen(t: int, p: int) -> Iterator[tuple[int, ...]]:
-        if t > n:
-            if n % p == 0:
-                yield tuple(a[1:])
-            return
-        lo = a[t - p]
-        for j in range(lo, k):
-            if rem[j]:
-                a[t] = j
-                rem[j] -= 1
-                yield from gen(t + 1, p if j == lo else t)
-                rem[j] += 1
-
+    x1 = values[first]
     if n == 1:
-        yield (first,)
+        yield (first,), x1
         return
-    yield from gen(2, 1)
+    if n == 2:
+        last = rem.index(1)
+        yield (first, last), x1 * values[last] + 2 * sign
+        return
+
+    a = [first] * (n + 1)  # a[t]: letter at depth t (1-indexed)
+    P = [1, x1] + [0] * (n - 1)
+    R = [0, 1] + [0] * (n - 1)
+    per = [1] * (n + 1)  # period of the prenecklace a[1..t-1]
+    lo = [first] * (n + 1)  # least admissible letter at depth t
+    nxt = [first] * (n + 1)  # next letter to try at depth t
+    m = n - 1  # depth whose child is forced: one letter is left, placed inline
+    t = 2
+    while t >= 2:
+        j = nxt[t]
+        while j < k and not rem[j]:
+            j += 1
+        if j == k:
+            t -= 1
+            rem[a[t]] += 1
+            continue
+        nxt[t] = j + 1
+        a[t] = j
+        v = values[j]
+        p = per[t] if j == lo[t] else t
+        if t == m:
+            rem[j] -= 1
+            last = rem.index(1)
+            rem[j] += 1
+            b = a[n - p]
+            if last < b:
+                continue
+            if last > b:
+                p = n
+            if n % p == 0:
+                a[n] = last
+                pm = v * P[t - 1] + sign * P[t - 2]
+                rm = v * R[t - 1] + sign * R[t - 2]
+                yield tuple(a[1:]), values[last] * pm + sign * (P[t - 1] + rm)
+            continue
+        P[t] = v * P[t - 1] + sign * P[t - 2]
+        R[t] = v * R[t - 1] + sign * R[t - 2]
+        rem[j] -= 1
+        t += 1
+        per[t] = p
+        lo[t] = nxt[t] = a[t - p]
 
 
 def enumerate_class(vector: ParikhVector) -> Iterator[CyclicWord]:
@@ -412,5 +454,6 @@ def enumerate_class(vector: ParikhVector) -> Iterator[CyclicWord]:
     if vector.total < 1:
         raise ValueError("cannot enumerate the class of the zero vector")
     alphabet = vector.alphabet
-    for t in _necklaces(vector.counts):
+    zeros = (0,) * len(alphabet)
+    for t, _ in _necklace_walk(vector.counts, zeros, 0):
         yield CyclicWord(LinearWord(alphabet, t))

@@ -124,14 +124,11 @@ class TestSearch:
             main(["search", "--vector", "2,2", "--values", "2,3", "--regular"])
         assert exc.value.code == 1
 
-    def test_deterministic_across_jobs(self, capsys):
-        args = (
-            "search", "--vector", "1,2,2,2,1", "--values", "2,3,4,5,6",
-            "--semiregular", "--max", "--format", "json",
-        )
-        _, first, _ = run(capsys, *args)
-        _, second, _ = run(capsys, *args, "--jobs", "2")
-        assert first == second
+    def test_jobs_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--vector", "2,2", "--values", "2,3", "--regular",
+                  "--max", "--jobs", "2"])
+        assert exc.value.code == 1
 
 
 class TestConstruct:

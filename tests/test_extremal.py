@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -26,7 +27,12 @@ from cycont.words import (
     split_points,
 )
 
-from oracles import nonnegative_compositions
+from oracles import (
+    classes_by_sweep,
+    matrix_continuant,
+    necklace_count,
+    nonnegative_compositions,
+)
 from oracles import positive_compositions as _positive_compositions
 
 V234 = OrderedAlphabet(("2", "3", "4"), (2, 3, 4))
@@ -204,11 +210,65 @@ class TestSearch:
                             getattr(c, flag) for c in report.certificates
                         ), (counts, valuation, direction)
 
-    def test_parallel_matches_serial(self, ab5v):
-        vector = ab5v.vector((1, 2, 2, 2, 1))
-        serial = search(vector, valuation="semiregular", direction="max")
-        parallel = search(vector, valuation="semiregular", direction="max", jobs=2)
-        assert serial == parallel
+    @pytest.mark.parametrize("valuation", ["regular", "semiregular"])
+    def test_matches_brute_force_over_every_small_class(self, valuation):
+        """Every vector of total <= 8 over <= 4 letters, zero counts
+        included, both directions: the value, the complete optimum set in
+        lexicographic order, and the class size agree with a sweep of all
+        k^n words scored by matrix products."""
+        values = (1, 2, 3, 5) if valuation == "regular" else (2, 3, 4, 7)
+        sign = 1 if valuation == "regular" else -1
+        for k in range(1, 5):
+            alphabet = alphabet_of_size(k, values=values[:k])
+            for n in range(1, 9):
+                for counts, members in classes_by_sweep(k, n).items():
+                    scored = {
+                        t: matrix_continuant([values[i] for i in t], sign)
+                        + sign * matrix_continuant([values[i] for i in t[1:-1]], sign)
+                        for t in members
+                    }
+                    for direction, pick in (("max", max), ("min", min)):
+                        report = search(
+                            alphabet.vector(counts),
+                            valuation=valuation,
+                            direction=direction,
+                        )
+                        best = pick(scored.values())
+                        expect = sorted(t for t, v in scored.items() if v == best)
+                        key = (counts, direction)
+                        assert report.value == best, key
+                        assert [w.indices for w in report.optima] == expect, key
+                        assert report.class_size == necklace_count(counts), key
+                        assert report.class_size == len(members), key
+
+    def test_one_letter_convention(self):
+        """A lone letter x scores x + 1 (regular) and x - 1 (semi-regular),
+        the cyclic evaluators' value on that word."""
+        alphabet = alphabet_of_size(3, values=(2, 5, 9))
+        vector = alphabet.vector((0, 1, 0))
+        word = alphabet.cyclic("b")
+        for valuation, evaluate, expect in (
+            ("regular", cyclic_regular, 6),
+            ("semiregular", cyclic_semiregular, 4),
+        ):
+            for direction in ("max", "min"):
+                report = search(vector, valuation=valuation, direction=direction)
+                assert report.value == expect == evaluate(word)
+                assert report.optima == (word,)
+                assert report.class_size == 1
+
+    def test_memory_does_not_grow_with_the_class(self, ab5v):
+        """Only the running optimum and its ties are held: scoring the
+        11,352 members of (2,2,2,2,2) peaks under half a megabyte."""
+        vector = ab5v.vector((2, 2, 2, 2, 2))
+        tracemalloc.start()
+        try:
+            report = search(vector, valuation="semiregular", direction="max")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.class_size == 11_352
+        assert peak < 512 * 1024
 
 
 class TestExchangeGraph:

@@ -286,6 +286,7 @@ class TestEnumerateClass:
                 expect = sorted(sweep.get(counts, set()))
                 assert got == expect
                 assert len(got) == len(set(got))
+                assert all(x < y for x, y in zip(got, got[1:]))
 
 
 class TestSplitPoints:
