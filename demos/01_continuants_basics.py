@@ -7,13 +7,13 @@ lean on.
 """
 
 from cycont import (
+    LinearWord,
     OrderedAlphabet,
     cf_value,
     continuant_regular,
     continuant_semiregular,
     cyclic_regular,
     cyclic_semiregular,
-    split_identity_check,
 )
 
 alphabet = OrderedAlphabet(("a", "b", "c"), values=(2, 3, 4))
@@ -36,10 +36,19 @@ print("\ncontinued-fraction quotients of", word)
 print("regular      [x]  =", cf_value(word, "regular"))
 print("semi-regular [x]. =", cf_value(word, "semiregular"))
 
-print("\nsplitting identity at every cut of", word)
-for m in range(1, len(word)):
-    lhs, rhs = split_identity_check(word, m, "semiregular")
-    print(f"  cut {m}: {lhs} == {rhs}")
+
+
+def Kd(a, b):
+    """Semi-regular continuant of the slice word[a:b]; the empty slice gives 1."""
+    return continuant_semiregular(LinearWord(alphabet, word.indices[a:b]))
+
+
+n = len(word)
+print("\nsplitting identity Kd(x) = Kd(x[:m]) Kd(x[m:]) - Kd(x[:m-1]) Kd(x[m+1:])")
+print("at every cut m of", word)
+for m in range(1, n):
+    rhs = Kd(0, m) * Kd(m, n) - Kd(0, m - 1) * Kd(m + 1, n)
+    print(f"  cut {m}: {Kd(0, n)} == {rhs}")
 
 big = alphabet.word("abc" * 40)
 print("\nexact big integers, no overflow:")

@@ -14,7 +14,6 @@ from .continuants import (
     continuant_semiregular,
     cyclic_regular,
     cyclic_semiregular,
-    split_identity_check,
 )
 from .extremal import (
     ClassMembership,
@@ -22,7 +21,6 @@ from .extremal import (
     SearchReport,
     SyncKind,
     build_exchange_graph,
-    check_lintocirc,
     classify,
     exchange,
     is_synchronizing,
@@ -53,14 +51,10 @@ from .words import (
     Ordering,
     ParikhVector,
     alphabet_of_size,
-    canonicalize,
     compare_alt,
     compare_lex,
     enumerate_class,
     least_rotation_index,
-    parikh,
-    reverse,
-    reverse_cyclic,
     split_points,
 )
 
@@ -84,9 +78,7 @@ __all__ = [
     "SyncKind",
     "alphabet_of_size",
     "build_exchange_graph",
-    "canonicalize",
     "cf_value",
-    "check_lintocirc",
     "christoffel",
     "classify",
     "compare_alt",
@@ -105,12 +97,8 @@ __all__ = [
     "is_synchronizing",
     "least_rotation_index",
     "midpoint_case",
-    "parikh",
-    "reverse",
-    "reverse_cyclic",
     "reversal_class_representative",
     "search",
-    "split_identity_check",
     "split_points",
     "xi_cyclic",
     "xi_linear",

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage or parse error, 2 domain error (including
 size-guard refusals), 3 algorithmic no-result (failed construction, absent
 preimage).  Machine output is JSON (``--format json``); ``search`` also
-supports CSV rows, one per optimum.
+supports CSV rows, one per optimum.  ``--limit`` (the enumeration guard)
+exists only on ``search`` and ``graph``, the two subcommands that enumerate.
 
 The alphabet is resolved from ``--alphabet`` (characters, or comma-separated
 tokens), else defaults to a,b,c,... sized by ``--values`` or the vector, else
@@ -13,8 +14,10 @@ for word commands to the sorted distinct letters of the word itself.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 from .continuants import (
@@ -26,7 +29,14 @@ from .continuants import (
 )
 from .extremal import SyncKind, build_exchange_graph, classify, search
 from .singular import construct_singular, xi_cyclic, xi_linear, xi_preimage
-from .words import CyclicWord, OrderedAlphabet, ParikhVector
+from .words import (
+    CyclicWord,
+    LinearWord,
+    OrderedAlphabet,
+    ParikhVector,
+    _tokens,
+    alphabet_of_size,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,7 +44,6 @@ EXIT_DOMAIN = 2
 EXIT_NO_RESULT = 3
 
 DEFAULT_LIMIT = 14
-_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,52 +58,48 @@ class CliError(Exception):
         self.code = code
 
 
-def _split_tokens(text: str) -> list[str]:
-    if "," in text:
-        return [p for p in text.split(",") if p]
-    return list(text)
-
-
-def _resolve_alphabet(args, size_hint: int | None = None) -> OrderedAlphabet:
-    values = None
-    if getattr(args, "values", None):
-        try:
-            values = tuple(int(v) for v in args.values.split(","))
-        except ValueError:
-            raise CliError(f"cannot parse values {args.values!r}", EXIT_USAGE)
-    if getattr(args, "alphabet", None):
-        symbols = tuple(_split_tokens(args.alphabet))
-    elif values is not None:
-        if len(values) > len(_LETTERS):
-            raise CliError("too many values for a default alphabet", EXIT_USAGE)
-        symbols = tuple(_LETTERS[: len(values)])
-    elif size_hint is not None:
-        if size_hint > len(_LETTERS):
-            raise CliError("too many letters for a default alphabet", EXIT_USAGE)
-        symbols = tuple(_LETTERS[:size_hint])
-    elif getattr(args, "word", None):
-        symbols = tuple(sorted(set(_split_tokens(args.word))))
-    else:
-        raise CliError("cannot infer an alphabet; pass --alphabet", EXIT_USAGE)
+def _resolve_alphabet(args, size: int | None = None) -> OrderedAlphabet:
     try:
-        return OrderedAlphabet(symbols, values)
+        values = tuple(int(v) for v in args.values.split(",")) if args.values else None
+    except ValueError:
+        raise CliError(f"cannot parse values {args.values!r}", EXIT_USAGE)
+    try:
+        if args.alphabet:
+            return OrderedAlphabet(tuple(_tokens(args.alphabet)), values)
+        if values is not None:
+            return alphabet_of_size(len(values), values)
+        if size is not None:
+            return alphabet_of_size(size)
+        if getattr(args, "word", None):
+            return OrderedAlphabet(tuple(sorted(set(_tokens(args.word)))))
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
+    raise CliError("cannot infer an alphabet; pass --alphabet", EXIT_USAGE)
 
 
-def _parse_word(args, alphabet: OrderedAlphabet):
+def _word_input(args) -> LinearWord:
+    """The non-empty ``--word`` of eval, classify and xi, over its alphabet."""
+    alphabet = _resolve_alphabet(args)
     try:
-        return alphabet.word(args.word)
+        word = alphabet.word(args.word)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
+    if len(word) == 0:
+        raise CliError("empty word", EXIT_DOMAIN)
+    return word
 
 
-def _parse_vector(args, alphabet: OrderedAlphabet) -> ParikhVector:
+def _vector_input(args) -> ParikhVector:
+    """The non-zero ``--vector`` of search, construct and graph."""
+    alphabet = _resolve_alphabet(args, size=args.vector.count(",") + 1)
     try:
         counts = tuple(int(c) for c in args.vector.split(","))
-        return ParikhVector(alphabet, counts)
+        vector = ParikhVector(alphabet, counts)
     except ValueError as exc:
         raise CliError(f"bad vector {args.vector!r}: {exc}", EXIT_USAGE) from None
+    if vector.total < 1:
+        raise CliError("zero vector", EXIT_DOMAIN)
+    return vector
 
 
 def _check_guard(total: int, limit: int) -> None:
@@ -120,10 +125,8 @@ _EVAL_KINDS = ("regular", "semiregular", "cyclic-regular", "cyclic-semiregular")
 
 
 def cmd_eval(args) -> int:
-    alphabet = _resolve_alphabet(args)
-    word = _parse_word(args, alphabet)
-    if len(word) == 0:
-        raise CliError("empty word", EXIT_DOMAIN)
+    word = _word_input(args)
+    alphabet = word.alphabet
     requested = [k for k in _EVAL_KINDS if getattr(args, k.replace("-", "_"))]
     if not requested:
         requested = list(_EVAL_KINDS)
@@ -152,44 +155,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    alphabet = _resolve_alphabet(args)
-    word = _parse_word(args, alphabet)
-    if len(word) == 0:
-        raise CliError("empty word", EXIT_DOMAIN)
+    word = _word_input(args)
     omega = CyclicWord(word)
-    m = classify(omega)
-    payload = {
-        "word": str(word),
-        "canonical": str(omega),
-        "in_S": m.in_S,
-        "in_S_alt": m.in_S_alt,
-        "in_U": m.in_U,
-        "in_U_alt": m.in_U_alt,
-    }
+    membership = asdict(classify(omega))
+    payload = {"word": str(word), "canonical": str(omega), **membership}
     lines = [f"canonical {omega}"] + [
-        f"{name} {str(val).lower()}"
-        for name, val in payload.items()
-        if name.startswith("in_")
+        f"{name} {str(val).lower()}" for name, val in membership.items()
     ]
     _emit(args, payload, lines)
     return EXIT_OK
 
 
-def _membership_dict(m) -> dict:
-    return {
-        "in_S": m.in_S,
-        "in_S_alt": m.in_S_alt,
-        "in_U": m.in_U,
-        "in_U_alt": m.in_U_alt,
-    }
-
-
 def cmd_search(args) -> int:
-    size_hint = args.vector.count(",") + 1
-    alphabet = _resolve_alphabet(args, size_hint=size_hint)
-    vector = _parse_vector(args, alphabet)
-    if vector.total < 1:
-        raise CliError("zero vector", EXIT_DOMAIN)
+    vector = _vector_input(args)
+    alphabet = vector.alphabet
     _check_guard(vector.total, args.limit)
     report = search(vector, valuation=args.valuation, direction=args.direction)
     payload = {
@@ -202,18 +181,17 @@ def cmd_search(args) -> int:
         "class_size": report.class_size,
         "unique_up_to_reversal": report.unique_up_to_reversal,
         "optima": [
-            {"word": str(w), **_membership_dict(m)}
+            {"word": str(w), **asdict(m)}
             for w, m in zip(report.optima, report.certificates)
         ],
     }
     if args.format == "csv":
-        rows = ["word,value,in_S,in_S_alt,in_U,in_U_alt,unique_up_to_reversal"]
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(["word", "value", "in_S", "in_S_alt", "in_U", "in_U_alt",
+                      "unique_up_to_reversal"])
         for w, m in zip(report.optima, report.certificates):
-            rows.append(
-                f"{w},{report.value},{m.in_S},{m.in_S_alt},{m.in_U},"
-                f"{m.in_U_alt},{report.unique_up_to_reversal}"
-            )
-        print("\n".join(rows))
+            out.writerow([str(w), report.value, *asdict(m).values(),
+                          report.unique_up_to_reversal])
         return EXIT_OK
     lines = [
         f"{report.direction} {report.valuation} value {report.value} "
@@ -226,15 +204,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    size_hint = args.vector.count(",") + 1
-    alphabet = _resolve_alphabet(args, size_hint=size_hint)
-    vector = _parse_vector(args, alphabet)
-    if vector.total < 1:
-        raise CliError("zero vector", EXIT_DOMAIN)
+    vector = _vector_input(args)
     outcome, trace = construct_singular(vector)
     payload = {
         "vector": list(vector.counts),
-        "alphabet": list(alphabet.symbols),
+        "alphabet": list(vector.alphabet.symbols),
         "steps": [
             {"vector": list(s.vector.counts), "letter": s.letter, "delta": s.delta}
             for s in trace.steps
@@ -260,11 +234,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    size_hint = args.vector.count(",") + 1
-    alphabet = _resolve_alphabet(args, size_hint=size_hint)
-    vector = _parse_vector(args, alphabet)
-    if vector.total < 1:
-        raise CliError("zero vector", EXIT_DOMAIN)
+    vector = _vector_input(args)
     _check_guard(vector.total, args.limit)
     graph = build_exchange_graph(vector, args.kind)
     vertex_names = [str(v) for v in graph.vertices]
@@ -281,7 +251,7 @@ def cmd_graph(args) -> int:
         return EXIT_OK
     payload = {
         "vector": list(vector.counts),
-        "alphabet": list(alphabet.symbols),
+        "alphabet": list(vector.alphabet.symbols),
         "kind": args.kind.value,
         "vertices": vertex_names,
         "edges": edges,
@@ -301,11 +271,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_xi(args) -> int:
-    alphabet = _resolve_alphabet(args)
-    word = _parse_word(args, alphabet)
-    if len(word) == 0:
-        raise CliError("empty word", EXIT_DOMAIN)
-    if args.letter not in alphabet.symbols:
+    word = _word_input(args)
+    if args.letter not in word.alphabet.symbols:
         raise CliError(f"letter {args.letter!r} not in alphabet", EXIT_USAGE)
     subject = CyclicWord(word) if args.cyclic else word
     if args.inverse:
@@ -327,17 +294,18 @@ def cmd_xi(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, *, default_format: str = "text") -> None:
+def _add_common(p, *, default_format="text", formats=("text", "json"), limit=False):
     p.add_argument("--alphabet", help="symbols, as characters or comma-separated")
     p.add_argument("--values", help="comma-separated integer values per symbol")
     p.add_argument(
-        "--format", choices=("text", "json", "csv"), default=default_format,
+        "--format", choices=formats, default=default_format,
         help=f"output format (default {default_format})",
     )
-    p.add_argument(
-        "--limit", type=int, default=DEFAULT_LIMIT,
-        help=f"enumeration size guard (default {DEFAULT_LIMIT})",
-    )
+    if limit:
+        p.add_argument(
+            "--limit", type=int, default=DEFAULT_LIMIT,
+            help=f"enumeration size guard (default {DEFAULT_LIMIT})",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("search", help="exhaustive extremal search over a class")
-    _add_common(p, default_format="json")
+    _add_common(p, default_format="json", formats=("text", "json", "csv"), limit=True)
     p.add_argument("--vector", required=True)
     val = p.add_mutually_exclusive_group(required=True)
     val.add_argument(
@@ -381,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_construct)
 
     p = sub.add_parser("graph", help="exchange graph of a symmetric class")
-    _add_common(p, default_format="json")
+    _add_common(p, default_format="json", limit=True)
     p.add_argument("--vector", required=True)
     k = p.add_mutually_exclusive_group()
     k.add_argument(

@@ -123,27 +123,3 @@ def cf_value(
     w = _word_vals(x.indices, vals)
     return Fraction(_K(w[1:], sign), _K(w, sign))
 
-
-def split_identity_check(
-    x: LinearWord,
-    m: int,
-    kind: Kind = "regular",
-    values: Sequence[int] | None = None,
-) -> tuple[int, int]:
-    """Both sides of the splitting identity at cut m (1 <= m <= n-1).
-
-    Regular:      K(x) = K(x[:m]) K(x[m:]) + K(x[:m-1]) K(x[m+1:])
-    Semi-regular: same with a minus sign; out-of-range pieces count as 1.
-    Returned as (lhs, rhs); intended as a test oracle.
-    """
-    n = len(x)
-    if not 1 <= m <= n - 1:
-        raise ValueError(f"cut must satisfy 1 <= m <= {n - 1}, got {m}")
-    vals = resolve_values(x.alphabet, values, kind)
-    sign = 1 if kind == "regular" else -1
-    w = _word_vals(x.indices, vals)
-    lhs = _K(w, sign)
-    rhs = _K(w[:m], sign) * _K(w[m:], sign) + sign * _K(w[: m - 1], sign) * _K(
-        w[m + 1 :], sign
-    )
-    return lhs, rhs

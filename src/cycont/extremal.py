@@ -273,50 +273,3 @@ def build_exchange_graph(
         edges[vertex] = tuple(reps[key] for key in sorted(targets))
     return ExchangeGraph(parikh=vector, kind=kind, vertices=vertices, edges=edges)
 
-
-# -- linear-to-circular bridge ---------------------------------------------------
-
-def check_lintocirc(
-    x: LinearWord, j: str, kind: SyncKind = SyncKind.PLAIN
-) -> tuple[bool, bool]:
-    """Evaluate both sides of the linear/circular singularity bridge.
-
-    cyclic side: the class of x followed by the top letter j lies in S
-    (resp. S_alt).
-    linear side: every way of writing x as (reverse of u) v w with v
-    non-palindromic and u != w satisfies (v < v-reversed) iff (w < u),
-    under the kind's order with its prefix conventions; u and w may be
-    empty.  Both booleans are computed by brute force; they agree.
-    """
-    alphabet = x.alphabet
-    if alphabet.index(j) != len(alphabet) - 1:
-        raise ValueError("j must be the greatest letter of the alphabet")
-    t = x.indices
-    if not t:
-        raise ValueError("x must be non-empty")
-    jx = alphabet.index(j)
-    if jx in t:
-        raise ValueError("x must avoid the letter j")
-
-    cyclic_word = CyclicWord(LinearWord(alphabet, t + (jx,)))
-    membership = classify(cyclic_word)
-    cyclic_side = membership.in_S if kind is SyncKind.PLAIN else membership.in_S_alt
-
-    cmp = kind.cmp
-    n = len(t)
-    linear_side = True
-    for i in range(n + 1):
-        for k in range(i + 2, n + 1):
-            v = t[i:k]
-            if v == v[::-1]:
-                continue
-            u = t[:i][::-1]
-            w = t[k:]
-            if u == w:
-                continue
-            if (cmp(v, v[::-1]) < 0) != (cmp(w, u) < 0):
-                linear_side = False
-                break
-        if not linear_side:
-            break
-    return cyclic_side, linear_side

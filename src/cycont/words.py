@@ -89,18 +89,10 @@ class OrderedAlphabet:
         except KeyError:
             raise ValueError(f"symbol {symbol!r} not in alphabet") from None
 
-    def with_values(self, values: Sequence[int]) -> "OrderedAlphabet":
-        return OrderedAlphabet(self.symbols, tuple(values))
-
     def word(self, text: str | Sequence[str]) -> "LinearWord":
         """Parse a word: one character per symbol, or comma-separated tokens."""
         if isinstance(text, str):
-            if "," in text:
-                parts = [p for p in text.split(",") if p]
-            elif all(len(s) == 1 for s in self.symbols):
-                parts = list(text)
-            else:
-                parts = [text] if text else []
+            parts = _tokens(text, all(len(s) == 1 for s in self.symbols))
         else:
             parts = list(text)
         return LinearWord(self, tuple(self.index(p) for p in parts))
@@ -110,6 +102,13 @@ class OrderedAlphabet:
 
     def vector(self, counts: Sequence[int]) -> "ParikhVector":
         return ParikhVector(self, tuple(counts))
+
+
+def _tokens(text: str, chars: bool = True) -> list[str]:
+    """Comma-separated tokens if there is a comma, else characters (or one token)."""
+    if "," in text:
+        return [p for p in text.split(",") if p]
+    return list(text) if chars or not text else [text]
 
 
 def alphabet_of_size(k: int, values: Sequence[int] | None = None) -> OrderedAlphabet:
@@ -144,11 +143,6 @@ class LinearWord:
 
     def __repr__(self) -> str:
         return f"LinearWord({str(self)!r})"
-
-    def __add__(self, other: "LinearWord") -> "LinearWord":
-        if other.alphabet != self.alphabet:
-            raise ValueError("words must share an alphabet")
-        return LinearWord(self.alphabet, self.indices + other.indices)
 
     def reverse(self) -> "LinearWord":
         return LinearWord(self.alphabet, self.indices[::-1])
@@ -196,12 +190,6 @@ class CyclicWord:
     def indices(self) -> tuple[int, ...]:
         return self.word.indices
 
-    def rotations(self) -> list[LinearWord]:
-        """Distinct linear representatives, canonical first."""
-        return [
-            LinearWord(self.alphabet, t) for t in _distinct_rotations(self.indices)
-        ]
-
     def reverse(self) -> "CyclicWord":
         return CyclicWord(self.word.reverse())
 
@@ -226,9 +214,6 @@ class ParikhVector:
     @property
     def total(self) -> int:
         return sum(self.counts)
-
-    def count(self, symbol: str) -> int:
-        return self.counts[self.alphabet.index(symbol)]
 
 
 def _parikh_of(alphabet: OrderedAlphabet, indices: tuple[int, ...]) -> ParikhVector:
@@ -326,23 +311,6 @@ def _distinct_rotations(t: tuple[int, ...]) -> list[tuple[int, ...]]:
             seen.add(r)
             out.append(r)
     return out
-
-
-def reverse(w: LinearWord) -> LinearWord:
-    return w.reverse()
-
-
-def reverse_cyclic(omega: CyclicWord) -> CyclicWord:
-    return omega.reverse()
-
-
-def parikh(w: LinearWord | CyclicWord) -> ParikhVector:
-    return w.parikh()
-
-
-def canonicalize(x: LinearWord) -> CyclicWord:
-    """Rotation class of x; canonical representative is the least rotation."""
-    return CyclicWord(x)
 
 
 # -- factorizations -----------------------------------------------------------

@@ -5,12 +5,31 @@ continuants through 2x2 matrix products, continued fractions through nested
 exact division, canonical rotations through a naive minimum, midpoint
 classification through the interval picture, class enumeration through a
 full sweep of k^n words.
+
+The two identity checkers at the end, ``split_identity_check`` and
+``check_lintocirc``, are the exception: they evaluate both sides of an
+identity with the library's own evaluators, classifier and comparison
+orders, so they check that those agree with each other, not that any one
+value is right.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+
+from cycont import (
+    CyclicWord,
+    LinearWord,
+    Ordering,
+    SyncKind,
+    classify,
+    compare_alt,
+    compare_lex,
+    continuant_regular,
+    continuant_semiregular,
+)
 
 
 def matrix_continuant(vals, sign: int) -> int:
@@ -107,3 +126,75 @@ def nonnegative_compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in nonnegative_compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+def split_identity_check(x, m: int, kind: str = "regular", values=None):
+    """Both sides of the splitting identity at cut m (1 <= m <= n-1).
+
+    Regular:      K(x) = K(x[:m]) K(x[m:]) + K(x[:m-1]) K(x[m+1:])
+    Semi-regular: same with a minus sign; empty pieces count as 1.
+    Returned as (lhs, rhs).  Every term comes from the library's own
+    continuant on a slice of x, so this checks the identity on that
+    evaluator; it is not an independent recomputation.
+    """
+    n = len(x)
+    if not 1 <= m <= n - 1:
+        raise ValueError(f"cut must satisfy 1 <= m <= {n - 1}, got {m}")
+    sign = {"regular": 1, "semiregular": -1}[kind]
+    t = x.indices
+    vals = None if values is None else tuple(values)
+
+    def piece(a: int, b: int) -> int:
+        return _continuant(x.alphabet, t[a:b], kind, vals)
+
+    rhs = piece(0, m) * piece(m, n) + sign * piece(0, m - 1) * piece(m + 1, n)
+    return piece(0, n), rhs
+
+
+@lru_cache(maxsize=1 << 14)
+def _continuant(alphabet, t: tuple, kind: str, values) -> int:
+    """Library continuant of one piece, cached: sweeps reuse short pieces."""
+    K = continuant_regular if kind == "regular" else continuant_semiregular
+    return K(LinearWord(alphabet, t), values)
+
+
+def check_lintocirc(x, j: str, kind=SyncKind.PLAIN) -> tuple[bool, bool]:
+    """Both sides of the linear/circular singularity bridge.
+
+    cyclic side: the class of x followed by the top letter j lies in S
+    (resp. S_alt), by the library's ``classify``.
+    linear side: every way of writing x as (reverse of u) v w with v
+    non-palindromic and u != w satisfies (v < v-reversed) iff (w < u),
+    under the kind's order (``compare_lex`` or ``compare_alt``, with their
+    prefix conventions); u and w may be empty.  Both sides use the
+    library's own classifier and orders, so the check is that they agree
+    with each other, not an independent recomputation of either.
+    """
+    alphabet = x.alphabet
+    jx = alphabet.index(j)
+    if jx != len(alphabet) - 1:
+        raise ValueError("j must be the greatest letter of the alphabet")
+    t = x.indices
+    if not t:
+        raise ValueError("x must be non-empty")
+    if jx in t:
+        raise ValueError("x must avoid the letter j")
+
+    membership = classify(CyclicWord(LinearWord(alphabet, t + (jx,))))
+    cyclic_side = membership.in_S if kind is SyncKind.PLAIN else membership.in_S_alt
+
+    compare = compare_lex if kind is SyncKind.PLAIN else compare_alt
+
+    def less(a: tuple, b: tuple) -> bool:
+        u, v = LinearWord(alphabet, a), LinearWord(alphabet, b)
+        return compare(u, v) is Ordering.LESS
+
+    n = len(t)
+    linear_side = all(
+        less(v, v[::-1]) == less(w, u)
+        for i in range(n + 1)
+        for k in range(i + 2, n + 1)
+        for u, v, w in [(t[:i][::-1], t[i:k], t[k:])]
+        if v != v[::-1] and u != w
+    )
+    return cyclic_side, linear_side

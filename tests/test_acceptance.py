@@ -13,7 +13,6 @@ from cycont.continuants import (
     continuant_semiregular,
     cyclic_regular,
     cyclic_semiregular,
-    split_identity_check,
 )
 from cycont.extremal import (
     SyncKind,
@@ -46,7 +45,7 @@ from cycont.words import (
     split_points,
 )
 
-from oracles import interval_midpoint, nonnegative_compositions
+from oracles import interval_midpoint, nonnegative_compositions, split_identity_check
 
 AB5 = alphabet_of_size(5, values=(2, 3, 4, 5, 6))
 ABCD = alphabet_of_size(4)

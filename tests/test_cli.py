@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -95,6 +97,23 @@ class TestSearch:
         lines = out.strip().splitlines()
         assert lines[0].startswith("word,value,")
         assert len(lines) >= 2
+
+    def test_csv_quotes_multi_character_words(self, capsys):
+        from cycont.words import OrderedAlphabet
+
+        code, out, _ = run(
+            capsys, "search", "--alphabet", "x1,x2", "--vector", "2,1", "--values",
+            "2,3", "--regular", "--max", "--format", "csv",
+        )
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert len(header) == 7
+        assert rows
+        alphabet = OrderedAlphabet(("x1", "x2"))
+        for row in rows:
+            assert len(row) == 7
+            assert alphabet.cyclic(row[0]).parikh().counts == (2, 1)
+            assert str(alphabet.cyclic(row[0])) == row[0]
 
     def test_zero_vector(self, capsys):
         code, _, err = run(
@@ -232,6 +251,28 @@ class TestXi:
             capsys, "xi", "--word", "ab", "--letter", "z", "--alphabet", "ab"
         )
         assert code == 1
+
+
+class TestFlagsOnlyWhereTheyAct:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--word", "ab", "--values", "2,3", "--limit", "3"],
+        ["classify", "--word", "ab", "--format", "csv"],
+        ["construct", "--vector", "3,3,4,2", "--limit", "5"],
+        ["xi", "--word", "abc", "--letter", "b", "--format", "csv"],
+    ])
+    def test_no_op_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_graph_limit_still_acts(self, capsys):
+        code, _, err = run(capsys, "graph", "--vector", "2,2", "--limit", "3")
+        assert code == 2
+        assert "guard" in err
+        code, payload, _ = run_json(capsys, "graph", "--vector", "8,7", "--limit", "15")
+        assert code == 0
+        assert payload["vertices"]
 
 
 class TestRoundTrip:

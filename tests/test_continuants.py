@@ -12,11 +12,10 @@ from cycont.continuants import (
     continuant_semiregular,
     cyclic_regular,
     cyclic_semiregular,
-    split_identity_check,
 )
 from cycont.words import CyclicWord, LinearWord, OrderedAlphabet
 
-from oracles import matrix_continuant, nested_cf
+from oracles import matrix_continuant, nested_cf, split_identity_check
 
 V2345 = OrderedAlphabet(("2", "3", "4", "5"), (2, 3, 4, 5))
 V234 = OrderedAlphabet(("2", "3", "4"), (2, 3, 4))

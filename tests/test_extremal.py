@@ -11,7 +11,6 @@ from cycont.continuants import (
 from cycont.extremal import (
     SyncKind,
     build_exchange_graph,
-    check_lintocirc,
     classify,
     exchange,
     is_synchronizing,
@@ -28,6 +27,7 @@ from cycont.words import (
 )
 
 from oracles import (
+    check_lintocirc,
     classes_by_sweep,
     matrix_continuant,
     necklace_count,

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycont.words import (
+    CyclicWord,
     LinearWord,
     OrderedAlphabet,
     Ordering,
     ParikhVector,
     alphabet_of_size,
-    canonicalize,
     compare_alt,
     compare_lex,
     enumerate_class,
@@ -211,17 +211,17 @@ class TestParikh:
 
 class TestCanonicalize:
     def test_examples(self, abc, abcd):
-        assert str(canonicalize(abc.word("bca"))) == "abc"
-        assert str(canonicalize(abcd.word("aaaa"))) == "aaaa"
+        assert str(CyclicWord(abc.word("bca"))) == "abc"
+        assert str(CyclicWord(abcd.word("aaaa"))) == "aaaa"
 
     def test_cdd_by_rotation_oracle(self, abcd):
         w = abcd.word("cdd")
-        assert canonicalize(w).indices == naive_canonical(w.indices)
-        assert str(canonicalize(w)) == "cdd"
+        assert CyclicWord(w).indices == naive_canonical(w.indices)
+        assert str(CyclicWord(w)) == "cdd"
 
     def test_rejects_empty(self, abc):
         with pytest.raises(ValueError):
-            canonicalize(abc.word(""))
+            CyclicWord(abc.word(""))
 
     def test_equality_iff_rotation(self, ab):
         assert ab.cyclic("ab") == ab.cyclic("ba")
@@ -232,7 +232,7 @@ class TestCanonicalize:
     def test_matches_naive_least_rotation(self, ixs):
         abcd = alphabet_of_size(4)
         w = LinearWord(abcd, tuple(ixs))
-        assert canonicalize(w).indices == naive_canonical(w.indices)
+        assert CyclicWord(w).indices == naive_canonical(w.indices)
 
 
 class TestEnumerateClass:
