@@ -70,11 +70,12 @@ def _resolve_alphabet(args, size: int | None = None) -> OrderedAlphabet:
             return alphabet_of_size(len(values), values)
         if size is not None:
             return alphabet_of_size(size)
-        if getattr(args, "word", None):
-            return OrderedAlphabet(tuple(sorted(set(_tokens(args.word)))))
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
-    raise CliError("cannot infer an alphabet; pass --alphabet", EXIT_USAGE)
+    symbols = tuple(sorted(set(_tokens(args.word))))
+    if not symbols:
+        raise CliError("empty word", EXIT_DOMAIN)
+    return OrderedAlphabet(symbols)
 
 
 def _word_input(args) -> LinearWord:

@@ -12,11 +12,27 @@ a representative with the value on its interior:
     K_cyc(x1..xn)  = K(x1..xn)  + K(x2..x{n-1})
     Kd_cyc(x1..xn) = Kd(x1..xn) - Kd(x2..x{n-1})
 
-both independent of the chosen rotation.  For n >= 2 each equals the trace
-of the product of [[xi, s], [1, 0]] (s = +1 regular, -1 semi-regular).  A
-one-letter word x has the empty interior K() = 1, so its cyclic values are
-x + 1 and x - 1, not the trace x.  All arithmetic is exact (Python
-integers, fractions.Fraction for quotients); evaluation is iterative.
+both independent of the chosen rotation.  A one-letter word x has the empty
+interior K() = 1, so its cyclic values are x + 1 and x - 1.
+
+Every value is read from one product, computed by ``_product``.  With
+s = +1 (regular) or -1 (semi-regular),
+
+    [[x1, s], [1, 0]] ... [[xn, s], [1, 0]]
+        = [[K(x1..xn), s K(x1..x{n-1})], [K(x2..xn), s K(x2..x{n-1})]],
+
+so a continuant is its top-left entry, a continued-fraction value is the
+bottom-left entry over the top-left one, and for n >= 2 a cyclic value is
+its trace.  Words of at most ``_LEAF`` letters are multiplied out by a
+plain loop, which carries the two rows as two rolling continuant
+recurrences.  Longer words are split in half and the two half products
+joined by one 2x2 multiply.  A rolling recurrence over the whole word
+multiplies a growing integer by one small digit per step, O(n^2) bit
+operations; the halving keeps every large multiplication between factors
+of equal size, where CPython's Karatsuba multiplication applies.  The
+recursion is about log2(n / _LEAF) deep, so word length is bounded by
+memory only.  All arithmetic is exact (Python integers, fractions.Fraction
+for quotients).
 """
 
 from __future__ import annotations
@@ -63,11 +79,34 @@ def resolve_values(
     return vals
 
 
-def _K(vals: Sequence[int], sign: int) -> int:
-    a, b = 0, 1
-    for x in vals:
-        a, b = b, x * b + sign * a
-    return b
+# Longest word multiplied out by the plain loop.  On a 2-vCPU Xeon under
+# CPython 3.11, both cyclic values of words of 1k-44k letters took the same
+# time, within noise, for leaves of 64 to 256 letters; a leaf of 16 was up
+# to 1.3x slower at 1k-5k letters.
+_LEAF = 64
+
+
+def _product(vals: Sequence[int], sign: int) -> tuple[int, int, int, int]:
+    """Entries (a, b, c, d) of the product of [[x, sign], [1, 0]] over vals."""
+    n = len(vals)
+    if n > _LEAF:
+        mid = n // 2
+        a, b, c, d = _product(vals[:mid], sign)
+        e, f, g, h = _product(vals[mid:], sign)
+        return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    # Rows (a, b) and (c, d) as two rolling recurrences; the second starts
+    # from the previous value sign, so that its first step gives 1.  One
+    # loop per sign keeps the sign multiplication out of the steps.
+    p0, p1, q0, q1 = 0, 1, sign, 0
+    if sign > 0:
+        for x in vals:
+            p0, p1 = p1, x * p1 + p0
+            q0, q1 = q1, x * q1 + q0
+    else:
+        for x in vals:
+            p0, p1 = p1, x * p1 - p0
+            q0, q1 = q1, x * q1 - q0
+    return p1, sign * p0, q1, sign * q0
 
 
 def _word_vals(
@@ -81,7 +120,7 @@ def continuant_regular(
 ) -> int:
     """K(x); K of the empty word is 1."""
     vals = resolve_values(x.alphabet, values, "regular")
-    return _K(_word_vals(x.indices, vals), 1)
+    return _product(_word_vals(x.indices, vals), 1)[0]
 
 
 def continuant_semiregular(
@@ -89,7 +128,7 @@ def continuant_semiregular(
 ) -> int:
     """Kd(x); requires every value >= 2 (digit 1 is excluded)."""
     vals = resolve_values(x.alphabet, values, "semiregular")
-    return _K(_word_vals(x.indices, vals), -1)
+    return _product(_word_vals(x.indices, vals), -1)[0]
 
 
 def cyclic_regular(
@@ -97,8 +136,9 @@ def cyclic_regular(
 ) -> int:
     """K_cyc(omega); independent of the representative rotation."""
     vals = resolve_values(omega.alphabet, values, "regular")
-    w = _word_vals(omega.indices, vals)
-    return _K(w, 1) + _K(w[1:-1], 1)
+    a, _, _, d = _product(_word_vals(omega.indices, vals), 1)
+    # The trace for n >= 2; one letter x has the interior K() = 1, not d = 0.
+    return a + d if len(omega) > 1 else a + 1
 
 
 def cyclic_semiregular(
@@ -106,8 +146,8 @@ def cyclic_semiregular(
 ) -> int:
     """Kd_cyc(omega); positive whenever all values are >= 2."""
     vals = resolve_values(omega.alphabet, values, "semiregular")
-    w = _word_vals(omega.indices, vals)
-    return _K(w, -1) - _K(w[1:-1], -1)
+    a, _, _, d = _product(_word_vals(omega.indices, vals), -1)
+    return a + d if len(omega) > 1 else a - 1
 
 
 def cf_value(
@@ -120,6 +160,5 @@ def cf_value(
         raise ValueError("continued-fraction value needs a non-empty word")
     vals = resolve_values(x.alphabet, values, kind)
     sign = 1 if kind == "regular" else -1
-    w = _word_vals(x.indices, vals)
-    return Fraction(_K(w[1:], sign), _K(w, sign))
-
+    a, _, c, _ = _product(_word_vals(x.indices, vals), sign)
+    return Fraction(c, a)

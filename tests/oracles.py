@@ -1,7 +1,9 @@
 """Independent brute-force oracles for the tests.
 
 Each oracle deliberately avoids the library's own evaluation path:
-continuants through 2x2 matrix products, continued fractions through nested
+continuants through 2x2 matrix products multiplied out one letter at a time
+and through the rolling two-term recurrence, cyclic continuants by their
+definition on the word and its interior, continued fractions through nested
 exact division, canonical rotations through a naive minimum, midpoint
 classification through the interval picture, class enumeration through a
 full sweep of k^n words.
@@ -38,6 +40,22 @@ def matrix_continuant(vals, sign: int) -> int:
     for x in vals:
         a, b, c, d = a * x + b, a * sign, c * x + d, c * sign
     return a
+
+
+def rolling_continuant(vals, sign: int) -> int:
+    """K(x1..xn) by the recurrence K(..xi) = xi K(..x{i-1}) + sign K(..x{i-2})."""
+    previous, current = 0, 1
+    for x in vals:
+        previous, current = current, x * current + sign * previous
+    return current
+
+
+def cyclic_by_definition(vals, sign: int) -> int:
+    """K(x) + sign K(x2..x{n-1}), both on the rolling recurrence.
+
+    The interior of one letter x is empty, K() = 1, so x gives x + sign.
+    """
+    return rolling_continuant(vals, sign) + sign * rolling_continuant(vals[1:-1], sign)
 
 
 def nested_cf(vals, semiregular: bool) -> Fraction:

@@ -275,6 +275,22 @@ class TestFlagsOnlyWhereTheyAct:
         assert payload["vertices"]
 
 
+class TestEmptyWordWithoutAlphabet:
+    """The empty word is a domain error even when no alphabet is given."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--word", ""],
+        ["classify", "--word", ""],
+        ["xi", "--letter", "a", "--word", ""],
+        ["eval", "--word", ","],
+    ])
+    def test_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "empty word" in err
+
+
 class TestRoundTrip:
     def test_search_words_parse_back_to_same_class(self, capsys):
         from cycont.words import OrderedAlphabet

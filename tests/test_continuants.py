@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycont.continuants import (
+    _LEAF,
     DomainError,
     cf_value,
     continuant_regular,
@@ -15,10 +17,18 @@ from cycont.continuants import (
 )
 from cycont.words import CyclicWord, LinearWord, OrderedAlphabet
 
-from oracles import matrix_continuant, nested_cf, split_identity_check
+from oracles import (
+    cyclic_by_definition,
+    matrix_continuant,
+    nested_cf,
+    rolling_continuant,
+    split_identity_check,
+)
 
 V2345 = OrderedAlphabet(("2", "3", "4", "5"), (2, 3, 4, 5))
 V234 = OrderedAlphabet(("2", "3", "4"), (2, 3, 4))
+# Values from one digit to past 64 bits, so that products outgrow machine words.
+WIDE = OrderedAlphabet(("a", "b", "c", "d"), (2, 7, 10**6 + 3, 2**64 + 13))
 
 
 def value_words(alphabet, lengths):
@@ -85,6 +95,64 @@ class TestAgainstMatrixOracle:
         vals = tuple(i + 2 for i in ixs)
         assert continuant_regular(w) == matrix_continuant(vals, 1)
         assert continuant_semiregular(w) == matrix_continuant(vals, -1)
+
+
+def random_word(rng, alphabet, n):
+    return LinearWord(alphabet, tuple(rng.randrange(len(alphabet)) for _ in range(n)))
+
+
+def assert_matches_oracles(w):
+    """All five evaluators on w against the matrix and rolling-recurrence oracles."""
+    vals = tuple(w.alphabet.values[i] for i in w.indices)
+    for sign, kind, linear, cyclic in (
+        (1, "regular", continuant_regular, cyclic_regular),
+        (-1, "semiregular", continuant_semiregular, cyclic_semiregular),
+    ):
+        k = matrix_continuant(vals, sign)
+        assert linear(w) == k == rolling_continuant(vals, sign)
+        if not vals:
+            continue
+        # w itself, not the stored least rotation, is the oracles' representative.
+        interior = matrix_continuant(vals[1:-1], sign)
+        by_definition = cyclic_by_definition(vals, sign)
+        assert cyclic(CyclicWord(w)) == k + sign * interior == by_definition
+        assert cf_value(w, kind) == Fraction(matrix_continuant(vals[1:], sign), k)
+
+
+class TestAcrossTheLeaf:
+    """Lengths beyond the plain loop's leaf, where the product is split and joined."""
+
+    @pytest.mark.parametrize("alphabet", [V2345, WIDE])
+    def test_every_length_to_three_leaves(self, alphabet):
+        rng = random.Random(3)
+        for n in range(3 * _LEAF + 2):
+            assert_matches_oracles(random_word(rng, alphabet, n))
+
+    def test_long_words_with_large_values(self):
+        rng = random.Random(4)
+        for n in (1_000, 2_345, 5_000):
+            assert_matches_oracles(random_word(rng, WIDE, n))
+
+    def test_rotation_invariance_above_the_leaf(self):
+        rng = random.Random(5)
+        for n in (_LEAF + 1, 2 * _LEAF + 3, 700):
+            w = random_word(rng, WIDE, n)
+            omega = CyclicWord(w)
+            for i in range(0, n, max(1, n // 13)):
+                r = w.indices[i:] + w.indices[:i]
+                body, interior = LinearWord(WIDE, r), LinearWord(WIDE, r[1:-1])
+                K, Kd = continuant_regular, continuant_semiregular
+                assert K(body) + K(interior) == cyclic_regular(omega)
+                assert Kd(body) - Kd(interior) == cyclic_semiregular(omega)
+
+
+class TestOneLetterRule:
+    @pytest.mark.parametrize("x", [2, 3, 10**6 + 3, 2**64 + 13])
+    def test_x_plus_and_minus_one(self, x):
+        """The interior of one letter is empty, K() = 1; the trace alone is x."""
+        one = OrderedAlphabet(("x",), (x,)).cyclic("x")
+        assert cyclic_regular(one) == x + 1 == cyclic_by_definition((x,), 1)
+        assert cyclic_semiregular(one) == x - 1 == cyclic_by_definition((x,), -1)
 
 
 class TestReversalInvariance:
