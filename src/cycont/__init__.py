@@ -55,6 +55,7 @@ from .words import (
     compare_lex,
     enumerate_class,
     least_rotation_index,
+    necklace_count,
     split_points,
 )
 
@@ -97,6 +98,7 @@ __all__ = [
     "is_synchronizing",
     "least_rotation_index",
     "midpoint_case",
+    "necklace_count",
     "reversal_class_representative",
     "search",
     "split_points",

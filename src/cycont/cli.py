@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 usage or parse error, 2 domain error (including
 size-guard refusals), 3 algorithmic no-result (failed construction, absent
 preimage).  Machine output is JSON (``--format json``); ``search`` also
-supports CSV rows, one per optimum.  ``--limit`` (the enumeration guard)
-exists only on ``search`` and ``graph``, the two subcommands that enumerate.
+supports CSV rows, one per optimum.  ``search`` and ``graph``, the two
+subcommands that enumerate, refuse a vector whose total exceeds ``--limit``
+and a class larger than a fixed cap, counted beforehand by the cycle index.
 
 The alphabet is resolved from ``--alphabet`` (characters, or comma-separated
 tokens), else defaults to a,b,c,... sized by ``--values`` or the vector, else
@@ -36,6 +37,7 @@ from .words import (
     ParikhVector,
     _tokens,
     alphabet_of_size,
+    necklace_count,
 )
 
 EXIT_OK = 0
@@ -44,6 +46,12 @@ EXIT_DOMAIN = 2
 EXIT_NO_RESULT = 3
 
 DEFAULT_LIMIT = 14
+# Largest classes (cyclic words) the enumerating subcommands accept, whatever
+# --limit says.  On a 2-vCPU Xeon the largest class of total <= 14 under each
+# cap takes about a minute: search 51-54 s for 16,216,200 words, graph 51 s
+# for 51,480 (an exchange graph costs about 1 ms per 14-letter word).
+SEARCH_CLASS_CAP = 17_000_000
+GRAPH_CLASS_CAP = 60_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,11 +111,19 @@ def _vector_input(args) -> ParikhVector:
     return vector
 
 
-def _check_guard(total: int, limit: int) -> None:
-    if total > limit:
+def _check_guard(vector: ParikhVector, limit: int, cap: int) -> None:
+    if vector.total > limit:
         raise CliError(
-            f"class of total {total} exceeds the enumeration guard "
+            f"class of total {vector.total} exceeds the enumeration guard "
             f"({limit}); raise it with --limit",
+            EXIT_DOMAIN,
+        )
+    size = necklace_count(vector)
+    if size > cap:
+        # Python refuses to print an int of more than 4,300 digits.
+        shown = size if size < 10**18 else "over 10^18"
+        raise CliError(
+            f"class of {shown} cyclic words exceeds the class-size cap ({cap})",
             EXIT_DOMAIN,
         )
 
@@ -170,7 +186,7 @@ def cmd_classify(args) -> int:
 def cmd_search(args) -> int:
     vector = _vector_input(args)
     alphabet = vector.alphabet
-    _check_guard(vector.total, args.limit)
+    _check_guard(vector, args.limit, SEARCH_CLASS_CAP)
     report = search(vector, valuation=args.valuation, direction=args.direction)
     payload = {
         "vector": list(vector.counts),
@@ -236,7 +252,7 @@ def cmd_construct(args) -> int:
 
 def cmd_graph(args) -> int:
     vector = _vector_input(args)
-    _check_guard(vector.total, args.limit)
+    _check_guard(vector, args.limit, GRAPH_CLASS_CAP)
     graph = build_exchange_graph(vector, args.kind)
     vertex_names = [str(v) for v in graph.vertices]
     edges = {str(v): [str(t) for t in graph.successors(v)] for v in graph.vertices}

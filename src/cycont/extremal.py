@@ -15,6 +15,20 @@ reversal-identified class into a DAG whose sinks are exactly the
 singular (resp. alt-singular) members; exhaustive search over a class
 therefore certifies extremal arrangements together with their class
 membership.
+
+Classification reads every cut from one outside-in mismatch table.  The
+cut of rotation s at m has the cyclic factors u = (s, m) and v = (s + m,
+n - m).  A factor of length L first differs from its reversal at its
+outside-in mismatch k: k = 0 if its end letters differ, else one more than
+for the factor (s + 1, L - 2).  The plain order is decided by the letters
+at k, the alternating order by the same flipped when k is odd, and
+k >= L // 2 means a palindrome, an inadmissible cut.  So the row of every
+factor of length L, kept as three bit-sets over the n starts (admissible,
+plain-less, alternating-less), is one pass over the row for L - 2, and a
+cut reads two rows.  The distinct rotations are the first p starts, p the
+least period.  That is O(n^2) time, done as O(n) bit operations per row on
+n-bit integers, and a row is kept only until its partner length n - L
+arrives: at most n/2 rows of 3n bits, O(n^2) bits of memory.
 """
 
 from __future__ import annotations
@@ -88,17 +102,56 @@ def is_synchronizing(
 
 
 def _classify_raw(t: tuple[int, ...]) -> ClassMembership:
+    """Four class flags from the outside-in mismatch table (module docstring).
+
+    Row L holds three bit-sets over the starts s of the factors (s, L):
+    ``adm`` (not a palindrome), ``pl`` (plain-less than its reversal) and
+    ``al`` (alternating-less).  Where the end letters differ, both orders
+    read them; elsewhere the row inherits from (s + 1, L - 2), with the
+    alternating sense flipped.
+    """
+    n = len(t)
     in_s = in_s_alt = in_u = in_u_alt = True
-    for u, v in _splits(t):
-        ru, rv = u[::-1], v[::-1]
-        if (_cmp_lex(u, ru) < 0) == (_cmp_lex(v, rv) < 0):
-            in_u = False
-        else:
-            in_s = False
-        if (_cmp_alt(u, ru) < 0) == (_cmp_alt(v, rv) < 0):
-            in_u_alt = False
-        else:
-            in_s_alt = False
+    if n < 4:  # every cut has a one-letter, palindromic part
+        return ClassMembership(in_s, in_s_alt, in_u, in_u_alt)
+    full = (1 << n) - 1
+
+    def rot(x: int, d: int) -> int:
+        """Bit s of the result is bit (s + d) mod n of x."""
+        return ((x >> d) | (x << (n - d))) & full
+
+    planes = [  # bit j of each letter, most significant plane first
+        int("".join("1" if c >> j & 1 else "0" for c in reversed(t)), 2)
+        for j in reversed(range(max(t).bit_length()))
+    ]
+    p = next(d for d in range(1, n + 1) if n % d == 0 and t[d:] == t[: n - d])
+    starts = (1 << p) - 1
+    older = old = (0, 0, 0)  # rows 0 and 1: every factor is a palindrome
+    waiting = {}
+    for L in range(2, n - 1):
+        ne = lt = 0  # ends t[s] != t[s + L - 1], and t[s] < t[s + L - 1]
+        for plane in planes:
+            diff = (plane ^ rot(plane, L - 1)) & ~ne
+            lt |= diff & ~plane
+            ne |= diff
+        eq = full ^ ne
+        adm, pl, al = older
+        row = (ne | rot(adm, 1), lt | (eq & rot(pl, 1)), lt | (eq & ~rot(al, 1)))
+        older, old = old, row
+        if 2 * L < n:
+            waiting[L] = row
+            continue
+        partner = row if 2 * L == n else waiting.pop(n - L)
+        for (adm_u, pl_u, al_u), (adm_v, pl_v, al_v), m in (
+            (row, partner, L), (partner, row, n - L)
+        ):
+            cuts = adm_u & rot(adm_v, m) & starts
+            apart = (pl_u ^ rot(pl_v, m)) & cuts
+            in_s = in_s and not apart
+            in_u = in_u and apart == cuts
+            apart = (al_u ^ rot(al_v, m)) & cuts
+            in_s_alt = in_s_alt and not apart
+            in_u_alt = in_u_alt and apart == cuts
         if not (in_s or in_u or in_s_alt or in_u_alt):
             break
     return ClassMembership(in_s, in_s_alt, in_u, in_u_alt)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from math import comb, gcd
 from typing import Iterator, Sequence
 
 
@@ -425,3 +426,37 @@ def enumerate_class(vector: ParikhVector) -> Iterator[CyclicWord]:
     zeros = (0,) * len(alphabet)
     for t, _ in _necklace_walk(vector.counts, zeros, 0):
         yield CyclicWord(LinearWord(alphabet, t))
+
+
+def necklace_count(vector: ParikhVector) -> int:
+    """Size of the cyclic Abelian class, by the cycle-index formula.
+
+    (1/n) * sum over d dividing every count of phi(d) * multinomial(n/d;
+    counts/d), computed without enumerating the class.
+    """
+    n = vector.total
+    if n < 1:
+        raise ValueError("cannot count the class of the zero vector")
+    g = gcd(*vector.counts)
+    total = 0
+    for d in range(1, g + 1):
+        if g % d:
+            continue
+        multinomial, left = 1, n // d
+        for c in vector.counts:
+            multinomial *= comb(left, c // d)
+            left -= c // d
+        total += _totient(d) * multinomial
+    return total // n
+
+
+def _totient(d: int) -> int:
+    """Euler's phi, by trial division."""
+    phi, q = d, 2
+    while q * q <= d:
+        if d % q == 0:
+            phi -= phi // q
+            while d % q == 0:
+                d //= q
+        q += 1
+    return phi - phi // d if d > 1 else phi

@@ -6,7 +6,8 @@ and through the rolling two-term recurrence, cyclic continuants by their
 definition on the word and its interior, continued fractions through nested
 exact division, canonical rotations through a naive minimum, midpoint
 classification through the interval picture, class enumeration through a
-full sweep of k^n words.
+full sweep of k^n words, synchronization classes through every cut of every
+rotation compared letter by letter with its reversal.
 
 The two identity checkers at the end, ``split_identity_check`` and
 ``check_lintocirc``, are the exception: they evaluate both sides of an
@@ -22,6 +23,7 @@ from functools import lru_cache
 from itertools import product
 
 from cycont import (
+    ClassMembership,
     CyclicWord,
     LinearWord,
     Ordering,
@@ -72,6 +74,43 @@ def all_rotations(t: tuple) -> list[tuple]:
 
 def naive_canonical(t: tuple) -> tuple:
     return min(all_rotations(t))
+
+
+def _less_than_reversal(u: tuple, alternating: bool) -> bool:
+    """u against its reversal at the first differing position.
+
+    The plain sense reads the smaller letter as less; the alternating sense
+    flips at odd 0-indexed positions.  Equal lengths, so no prefix rule.
+    """
+    for i, (x, y) in enumerate(zip(u, reversed(u))):
+        if x != y:
+            return (x < y) != (alternating and i % 2 == 1)
+    raise ValueError("a palindrome has no first mismatch")
+
+
+def classify_by_cuts(t: tuple) -> ClassMembership:
+    """S, S_alt, U, U_alt flags from every cut of every rotation, O(n^3).
+
+    Stops early once all four flags are false.
+    """
+    flags = {"in_S": True, "in_S_alt": True, "in_U": True, "in_U_alt": True}
+    for r in set(all_rotations(t)):
+        for m in range(1, len(r)):
+            u, v = r[:m], r[m:]
+            if u == u[::-1] or v == v[::-1]:
+                continue
+            for alternating, s_key, u_key in (
+                (False, "in_S", "in_U"), (True, "in_S_alt", "in_U_alt")
+            ):
+                if _less_than_reversal(u, alternating) == _less_than_reversal(
+                    v, alternating
+                ):
+                    flags[u_key] = False
+                else:
+                    flags[s_key] = False
+            if not any(flags.values()):
+                return ClassMembership(**flags)
+    return ClassMembership(**flags)
 
 
 def classes_by_sweep(k: int, n: int) -> dict[tuple, set[tuple]]:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cycont.cli import main
+from cycont.cli import GRAPH_CLASS_CAP, SEARCH_CLASS_CAP, main
 
 
 def run(capsys, *argv):
@@ -177,6 +177,44 @@ class TestConstruct:
     def test_zero_vector(self, capsys):
         code, _, _ = run(capsys, "construct", "--vector", "0,0")
         assert code == 2
+
+
+ONES_14 = ",".join(["1"] * 14)  # 13! = 6,227,020,800 cyclic words
+TWOS_7 = ",".join(["2"] * 7)  # 48,648,960 cyclic words
+
+
+class TestClassSizeCap:
+    """Vectors within --limit whose class would take hours are refused."""
+
+    @pytest.mark.parametrize("vector,size", [(ONES_14, 6227020800), (TWOS_7, 48648960)])
+    def test_search_refuses(self, capsys, vector, size):
+        values = ",".join(str(v) for v in range(2, vector.count(",") + 3))
+        code, out, err = run(
+            capsys, "search", "--vector", vector, "--values", values,
+            "--semiregular", "--max",
+        )
+        assert code == 2
+        assert out == ""
+        assert str(size) in err and str(SEARCH_CLASS_CAP) in err
+
+    @pytest.mark.parametrize("vector,size", [(ONES_14, 6227020800), (TWOS_7, 48648960)])
+    def test_graph_refuses(self, capsys, vector, size):
+        code, out, err = run(capsys, "graph", "--vector", vector)
+        assert code == 2
+        assert out == ""
+        assert str(size) in err and str(GRAPH_CLASS_CAP) in err
+
+    def test_raising_the_limit_does_not_lift_the_cap(self, capsys):
+        code, _, err = run(capsys, "graph", "--vector", "15,15", "--limit", "30")
+        assert code == 2
+        assert str(GRAPH_CLASS_CAP) in err
+
+    def test_count_too_long_to_print(self, capsys):
+        code, _, err = run(
+            capsys, "graph", "--vector", "9000,9000", "--limit", "18000"
+        )
+        assert code == 2
+        assert "over 10^18 cyclic words" in err
 
 
 class TestGraph:

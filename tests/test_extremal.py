@@ -2,6 +2,8 @@ import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycont.continuants import (
     DomainError,
@@ -9,6 +11,7 @@ from cycont.continuants import (
     cyclic_semiregular,
 )
 from cycont.extremal import (
+    ClassMembership,
     SyncKind,
     build_exchange_graph,
     classify,
@@ -25,12 +28,15 @@ from cycont.words import (
     enumerate_class,
     split_points,
 )
+from cycont.singular import construct_singular, is_singular
 
 from oracles import (
     check_lintocirc,
     classes_by_sweep,
+    classify_by_cuts,
     matrix_continuant,
     necklace_count,
+    naive_canonical,
     nonnegative_compositions,
 )
 from oracles import positive_compositions as _positive_compositions
@@ -78,6 +84,98 @@ class TestClassify:
             for t in product(range(3), repeat=n):
                 omega = CyclicWord(LinearWord(abc, t))
                 assert classify(omega) == classify(omega.reverse())
+
+
+def _classify_indices(t: tuple) -> ClassMembership:
+    return classify(CyclicWord(LinearWord(alphabet_of_size(max(t) + 1), t)))
+
+
+class TestClassifyAgainstCuts:
+    """classify against the cubic every-cut oracle, all four flags."""
+
+    @pytest.mark.parametrize("letters,max_len", [(3, 9), (4, 7)])
+    def test_every_short_word(self, letters, max_len):
+        for n in range(1, max_len + 1):
+            for t in product(range(letters), repeat=n):
+                if t == naive_canonical(t):
+                    assert _classify_indices(t) == classify_by_cuts(t), t
+
+    def test_powers_of_short_words(self):
+        for n in range(1, 5):
+            for base in product(range(3), repeat=n):
+                for power in range(2, 16 // n + 1):
+                    t = base * power
+                    assert _classify_indices(t) == classify_by_cuts(t), t
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=40),
+        st.integers(1, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_words_up_to_forty_letters(self, word, period):
+        """The word itself, or the power of its first `period` letters."""
+        p = min(period, len(word))
+        t = tuple(word[:p]) * (len(word) // p)
+        assert _classify_indices(t) == classify_by_cuts(t)
+
+
+# Vectors whose descent succeeds, giving singular words of 104-300 letters;
+# the words of at most 120 letters also go to the oracle.
+SINGULAR_SHORT = [(69, 32, 9), (68, 12, 32), (20, 42, 39, 13), (12, 7, 43, 44)]
+SINGULAR_LONG = [(24, 55, 88, 11), (63, 92, 76), (84, 97, 20, 76), (98, 51, 92, 59)]
+
+
+def _constructed(counts) -> CyclicWord:
+    word, _ = construct_singular(alphabet_of_size(len(counts)).vector(counts))
+    assert word is not None, counts
+    return word
+
+
+def _swap_middle_pair(omega: CyclicWord) -> CyclicWord:
+    """omega with the adjacent unequal pair nearest its middle swapped."""
+    t = list(omega.indices)
+    i = min(
+        (i for i in range(len(t) - 1) if t[i] != t[i + 1]),
+        key=lambda i: abs(2 * i - len(t)),
+    )
+    t[i], t[i + 1] = t[i + 1], t[i]
+    return CyclicWord(LinearWord(omega.alphabet, tuple(t)))
+
+
+class TestClassifyLongWords:
+    @pytest.mark.parametrize("counts", SINGULAR_SHORT + SINGULAR_LONG)
+    def test_constructed_words_are_singular(self, counts):
+        word = _constructed(counts)
+        assert 100 <= len(word) <= 300
+        assert is_singular(word)
+
+    @pytest.mark.parametrize("counts", SINGULAR_SHORT)
+    def test_constructed_words_match_the_oracle(self, counts):
+        word = _constructed(counts)
+        assert classify(word) == classify_by_cuts(word.indices)
+
+    @pytest.mark.parametrize("counts", SINGULAR_SHORT + SINGULAR_LONG)
+    def test_one_swap_breaks_singularity(self, counts):
+        """The singular word is unique in its class up to reversal, so a
+        swapped neighbour pair gives a long non-singular word."""
+        word = _constructed(counts)
+        swapped = _swap_middle_pair(word)
+        assert swapped not in (word, word.reverse())
+        membership = classify(swapped)
+        assert not membership.in_S
+        assert membership == classify_by_cuts(swapped.indices)
+
+    def test_memory_stays_far_below_a_square_table(self):
+        """A 700-letter word: an n x n table of ints alone takes ~4 MB."""
+        word = _constructed((150, 200, 250, 100))
+        assert len(word) == 700
+        tracemalloc.start()
+        try:
+            classify(word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestExchange:

@@ -14,6 +14,7 @@ from cycont.words import (
     compare_alt,
     compare_lex,
     enumerate_class,
+    necklace_count,
     split_points,
 )
 
@@ -24,6 +25,7 @@ from oracles import (
     nested_cf,
     nonnegative_compositions,
 )
+from oracles import necklace_count as oracle_necklace_count
 
 
 def words_up_to(alphabet, max_len):
@@ -287,6 +289,28 @@ class TestEnumerateClass:
                 assert got == expect
                 assert len(got) == len(set(got))
                 assert all(x < y for x, y in zip(got, got[1:]))
+                size = necklace_count(alphabet.vector(counts))
+                assert size == len(expect) == oracle_necklace_count(counts)
+
+
+class TestNecklaceCount:
+    """The sweep comparison is in TestEnumerateClass."""
+
+    def test_matches_the_oracle_formula_on_large_vectors(self):
+        for counts in [
+            (1,) * 14, (2,) * 7, (12, 18, 30), (60, 60), (36, 48, 24, 12),
+            (0, 97, 0), (1000,), (210, 0, 420), (5, 10, 15, 20, 25),
+        ]:
+            vector = alphabet_of_size(len(counts)).vector(counts)
+            assert necklace_count(vector) == oracle_necklace_count(counts), counts
+
+    def test_names_the_hanging_classes(self):
+        assert necklace_count(alphabet_of_size(14).vector((1,) * 14)) == 6227020800
+        assert necklace_count(alphabet_of_size(7).vector((2,) * 7)) == 48648960
+
+    def test_zero_vector_rejected(self, ab):
+        with pytest.raises(ValueError):
+            necklace_count(ab.vector((0, 0)))
 
 
 class TestSplitPoints:
