@@ -47,11 +47,11 @@ EXIT_NO_RESULT = 3
 
 DEFAULT_LIMIT = 14
 # Largest classes (cyclic words) the enumerating subcommands accept, whatever
-# --limit says.  On a 2-vCPU Xeon the largest class of total <= 14 under each
-# cap takes about a minute: search 51-54 s for 16,216,200 words, graph 51 s
-# for 51,480 (an exchange graph costs about 1 ms per 14-letter word).
+# --limit says.  On a 2-vCPU Xeon the slowest class of total <= 14 under each
+# cap takes about a minute: search 51-54 s for 16,216,200 words, graph 60 s and
+# 307 MB for 90,090 (5,4,4,1; 0.5-0.7 ms and 3 KB per 14-letter word).
 SEARCH_CLASS_CAP = 17_000_000
-GRAPH_CLASS_CAP = 60_000
+GRAPH_CLASS_CAP = 100_000
 
 
 class _Parser(argparse.ArgumentParser):

@@ -16,19 +16,8 @@ singular (resp. alt-singular) members; exhaustive search over a class
 therefore certifies extremal arrangements together with their class
 membership.
 
-Classification reads every cut from one outside-in mismatch table.  The
-cut of rotation s at m has the cyclic factors u = (s, m) and v = (s + m,
-n - m).  A factor of length L first differs from its reversal at its
-outside-in mismatch k: k = 0 if its end letters differ, else one more than
-for the factor (s + 1, L - 2).  The plain order is decided by the letters
-at k, the alternating order by the same flipped when k is odd, and
-k >= L // 2 means a palindrome, an inadmissible cut.  So the row of every
-factor of length L, kept as three bit-sets over the n starts (admissible,
-plain-less, alternating-less), is one pass over the row for L - 2, and a
-cut reads two rows.  The distinct rotations are the first p starts, p the
-least period.  That is O(n^2) time, done as O(n) bit operations per row on
-n-bit integers, and a row is kept only until its partner length n - L
-arrives: at most n/2 rows of 3n bits, O(n^2) bits of memory.
+Classification and the graph's edges read their cuts from one outside-in
+mismatch table, ``words._cut_rows``, in O(n^2) time per word.
 """
 
 from __future__ import annotations
@@ -44,10 +33,9 @@ from .words import (
     ParikhVector,
     _cmp_alt,
     _cmp_lex,
+    _cut_rows,
     _least_rotation,
     _necklace_walk,
-    _splits,
-    enumerate_class,
 )
 
 Direction = Literal["max", "min"]
@@ -58,10 +46,6 @@ class SyncKind(Enum):
 
     PLAIN = "plain"
     ALT = "alt"
-
-    @property
-    def cmp(self):
-        return _cmp_lex if self is SyncKind.PLAIN else _cmp_alt
 
 
 @dataclass(frozen=True)
@@ -97,69 +81,21 @@ def is_synchronizing(
     a, b = u.indices, v.indices
     if a == a[::-1] or b == b[::-1]:
         raise ValueError("synchronization needs both parts non-palindromic")
-    cmp = kind.cmp
+    cmp = _cmp_lex if kind is SyncKind.PLAIN else _cmp_alt
     return (cmp(a, a[::-1]) < 0) == (cmp(b, b[::-1]) < 0)
-
-
-def _classify_raw(t: tuple[int, ...]) -> ClassMembership:
-    """Four class flags from the outside-in mismatch table (module docstring).
-
-    Row L holds three bit-sets over the starts s of the factors (s, L):
-    ``adm`` (not a palindrome), ``pl`` (plain-less than its reversal) and
-    ``al`` (alternating-less).  Where the end letters differ, both orders
-    read them; elsewhere the row inherits from (s + 1, L - 2), with the
-    alternating sense flipped.
-    """
-    n = len(t)
-    in_s = in_s_alt = in_u = in_u_alt = True
-    if n < 4:  # every cut has a one-letter, palindromic part
-        return ClassMembership(in_s, in_s_alt, in_u, in_u_alt)
-    full = (1 << n) - 1
-
-    def rot(x: int, d: int) -> int:
-        """Bit s of the result is bit (s + d) mod n of x."""
-        return ((x >> d) | (x << (n - d))) & full
-
-    planes = [  # bit j of each letter, most significant plane first
-        int("".join("1" if c >> j & 1 else "0" for c in reversed(t)), 2)
-        for j in reversed(range(max(t).bit_length()))
-    ]
-    p = next(d for d in range(1, n + 1) if n % d == 0 and t[d:] == t[: n - d])
-    starts = (1 << p) - 1
-    older = old = (0, 0, 0)  # rows 0 and 1: every factor is a palindrome
-    waiting = {}
-    for L in range(2, n - 1):
-        ne = lt = 0  # ends t[s] != t[s + L - 1], and t[s] < t[s + L - 1]
-        for plane in planes:
-            diff = (plane ^ rot(plane, L - 1)) & ~ne
-            lt |= diff & ~plane
-            ne |= diff
-        eq = full ^ ne
-        adm, pl, al = older
-        row = (ne | rot(adm, 1), lt | (eq & rot(pl, 1)), lt | (eq & ~rot(al, 1)))
-        older, old = old, row
-        if 2 * L < n:
-            waiting[L] = row
-            continue
-        partner = row if 2 * L == n else waiting.pop(n - L)
-        for (adm_u, pl_u, al_u), (adm_v, pl_v, al_v), m in (
-            (row, partner, L), (partner, row, n - L)
-        ):
-            cuts = adm_u & rot(adm_v, m) & starts
-            apart = (pl_u ^ rot(pl_v, m)) & cuts
-            in_s = in_s and not apart
-            in_u = in_u and apart == cuts
-            apart = (al_u ^ rot(al_v, m)) & cuts
-            in_s_alt = in_s_alt and not apart
-            in_u_alt = in_u_alt and apart == cuts
-        if not (in_s or in_u or in_s_alt or in_u_alt):
-            break
-    return ClassMembership(in_s, in_s_alt, in_u, in_u_alt)
 
 
 def classify(omega: CyclicWord) -> ClassMembership:
     """Membership in S, S_alt, U, U_alt; vacuously all true if no split exists."""
-    return _classify_raw(omega.indices)
+    in_s = in_s_alt = in_u = in_u_alt = True
+    for _, cuts, plain, alt in _cut_rows(omega.indices):
+        in_s = in_s and not plain
+        in_u = in_u and plain == cuts
+        in_s_alt = in_s_alt and not alt
+        in_u_alt = in_u_alt and alt == cuts
+        if not (in_s or in_u or in_s_alt or in_u_alt):
+            break
+    return ClassMembership(in_s, in_s_alt, in_u, in_u_alt)
 
 
 def exchange(
@@ -307,22 +243,26 @@ def build_exchange_graph(
     """Exchange graph of the symmetric cyclic Abelian class of the vector."""
     if vector.total < 1:
         raise ValueError("cannot build the graph of the zero vector")
-    cmp = kind.cmp
+    alphabet = vector.alphabet
+    key_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # necklace -> vertex key
+    for t, _ in _necklace_walk(vector.counts, (0,) * len(alphabet), 0):
+        key_of[t] = min(t, _least_rotation(t[::-1]))
+    keys = sorted(set(key_of.values()))
+    vertex_of = {key: CyclicWord(LinearWord(alphabet, key)) for key in keys}
 
-    reps: dict[tuple[int, ...], CyclicWord] = {}
-    for word in enumerate_class(vector):
-        rep = reversal_class_representative(word)
-        reps.setdefault(rep.indices, rep)
-    vertices = tuple(reps[key] for key in sorted(reps))
-
+    plain = kind is SyncKind.PLAIN
+    n = vector.total
     edges: dict[CyclicWord, tuple[CyclicWord, ...]] = {}
-    for vertex in vertices:
-        targets: set[tuple[int, ...]] = set()
-        for u, v in _splits(vertex.indices):
-            if (cmp(u, u[::-1]) < 0) != (cmp(v, v[::-1]) < 0):
-                moved = _least_rotation(u[::-1] + v)
-                rev = _least_rotation(moved[::-1])
-                targets.add(min(moved, rev))
-        edges[vertex] = tuple(reps[key] for key in sorted(targets))
-    return ExchangeGraph(parikh=vector, kind=kind, vertices=vertices, edges=edges)
-
+    for key, vertex in vertex_of.items():
+        d = key + key
+        moved: set[tuple[int, ...]] = set()
+        for m, _, plain_apart, alt_apart in _cut_rows(key):
+            apart = plain_apart if plain else alt_apart
+            while apart:  # one edge per set bit s: rotation s, cut at m
+                s = (apart & -apart).bit_length() - 1
+                apart &= apart - 1
+                r = d[s : s + n]
+                moved.add(r[m - 1 :: -1] + r[m:])
+        targets = {key_of[_least_rotation(w)] for w in moved}
+        edges[vertex] = tuple(vertex_of[k] for k in sorted(targets))
+    return ExchangeGraph(vector, kind, tuple(vertex_of.values()), edges)

@@ -19,6 +19,9 @@ continued-fraction values and the alternating order the decreasing order of
 regular ones; the continuants module exposes the quotients used to
 cross-check that empirically.
 
+Every cut of a cyclic word into two non-palindromic parts, synchronizing or
+not under each order, is read from one table, ``_cut_rows``.
+
 Cyclic Abelian classes (all cyclic words with a given Parikh vector) are
 enumerated by one FKM-style fixed-content necklace walk, yielding each
 class member exactly once in lexicographic order of canonical
@@ -301,43 +304,85 @@ def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
     return t[k:] + t[:k] if k else t
 
 
-def _distinct_rotations(t: tuple[int, ...]) -> list[tuple[int, ...]]:
-    n = len(t)
-    d = t + t
-    seen = set()
-    out = []
-    for i in range(n):
-        r = d[i : i + n]
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out
-
-
 # -- factorizations -----------------------------------------------------------
 
-def _splits(t: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Cuts of every distinct rotation into two non-palindromic parts."""
-    for r in _distinct_rotations(t):
-        for m in range(1, len(r)):
-            u = r[:m]
-            if u == u[::-1]:
-                continue
-            v = r[m:]
-            if v == v[::-1]:
-                continue
-            yield u, v
+def _cut_rows(t: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
+    """Cut sets of the cyclic word t, from the outside-in mismatch table.
+
+    Yields (m, cuts, plain, alt) once for each cut length m in 2..n-2, in
+    no fixed order.  Bit s of each set is the cut of rotation s at m, for s
+    below the least period (the first p starts are the distinct rotations):
+    ``cuts`` holds the admissible cuts, ``plain`` and ``alt`` the
+    non-synchronizing ones.  Rows past an early stop are never built.
+
+    The cut has the cyclic factors u = (s, m) and v = (s + m, n - m).  A
+    factor of length L first differs from its reversal at its outside-in
+    mismatch k: k = 0 if its end letters differ, else one more than for
+    the factor (s + 1, L - 2).  The plain order is decided by the letters
+    at k, the alternating order by the same flipped when k is odd, and
+    k >= L // 2 means a palindrome, an inadmissible part.  So row L, three
+    n-bit sets over all starts (not a palindrome, plain-less and
+    alternating-less than the reversal), is a few shifts and masks per
+    letter bit-plane over row L - 2, and a cut length reads two rows.  That
+    is O(n^2) time as O(n) bit operations per row, and a row is kept only
+    until its partner length n - L arrives: at most n/2 rows of 3n bits.
+    """
+    n = len(t)
+    if n < 4:  # every cut has a one-letter, palindromic part
+        return
+    full = (1 << n) - 1
+
+    def rot(x: int, d: int) -> int:
+        """Bit s of the result is bit (s + d) mod n of x."""
+        return ((x >> d) | (x << (n - d))) & full
+
+    planes = [  # bit j of each letter, most significant plane first
+        int("".join("1" if c >> j & 1 else "0" for c in reversed(t)), 2)
+        for j in reversed(range(max(t).bit_length()))
+    ]
+    p = next(d for d in range(1, n + 1) if n % d == 0 and t[d:] == t[: n - d])
+    starts = (1 << p) - 1
+    older = old = (0, 0, 0)  # rows 0 and 1: every factor is a palindrome
+    waiting = {}
+    for L in range(2, n - 1):
+        ne = lt = 0  # ends t[s] != t[s + L - 1], and t[s] < t[s + L - 1]
+        for plane in planes:
+            diff = (plane ^ rot(plane, L - 1)) & ~ne
+            lt |= diff & ~plane
+            ne |= diff
+        eq = full ^ ne
+        adm, pl, al = older
+        row = (ne | rot(adm, 1), lt | (eq & rot(pl, 1)), lt | (eq & ~rot(al, 1)))
+        older, old = old, row
+        if 2 * L < n:
+            waiting[L] = row
+            continue
+        partner = row if 2 * L == n else waiting.pop(n - L)
+        cut_lengths = {L: (row, partner), n - L: (partner, row)}  # one if 2L = n
+        for m, ((adm_u, pl_u, al_u), (adm_v, pl_v, al_v)) in cut_lengths.items():
+            cuts = adm_u & rot(adm_v, m) & starts
+            yield m, cuts, (pl_u ^ rot(pl_v, m)) & cuts, (al_u ^ rot(al_v, m)) & cuts
 
 
 def split_points(omega: CyclicWord) -> Iterator[tuple[LinearWord, LinearWord]]:
     """Factorizations omega = uv over all rotations, both parts non-palindromic.
 
-    Each (distinct rotation, cut position) pair is yielded at most once, in a
-    deterministic order.  Words of length one yield nothing.
+    Each (distinct rotation, cut position) pair is yielded once: rotations
+    in order of first occurrence, then cut positions ascending.  Words of
+    fewer than four letters yield nothing.
     """
     alphabet = omega.alphabet
-    for u, v in _splits(omega.indices):
-        yield LinearWord(alphabet, u), LinearWord(alphabet, v)
+    t = omega.indices
+    n = len(t)
+    rows = sorted((m, cuts) for m, cuts, _, _ in _cut_rows(t))
+    d = t + t
+    for s in range(n):  # bits at or past the least period are clear
+        for m, cuts in rows:
+            if cuts >> s & 1:
+                yield (
+                    LinearWord(alphabet, d[s : s + m]),
+                    LinearWord(alphabet, d[s + m : s + n]),
+                )
 
 
 # -- cyclic Abelian class enumeration -----------------------------------------

@@ -6,8 +6,9 @@ and through the rolling two-term recurrence, cyclic continuants by their
 definition on the word and its interior, continued fractions through nested
 exact division, canonical rotations through a naive minimum, midpoint
 classification through the interval picture, class enumeration through a
-full sweep of k^n words, synchronization classes through every cut of every
-rotation compared letter by letter with its reversal.
+full sweep of k^n words (or of every word of one content), synchronization
+classes and exchange-graph edges through every cut of every rotation
+compared letter by letter with its reversal.
 
 The two identity checkers at the end, ``split_identity_check`` and
 ``check_lintocirc``, are the exception: they evaluate both sides of an
@@ -21,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import Iterator
 
 from cycont import (
     ClassMembership,
@@ -94,23 +96,72 @@ def classify_by_cuts(t: tuple) -> ClassMembership:
     Stops early once all four flags are false.
     """
     flags = {"in_S": True, "in_S_alt": True, "in_U": True, "in_U_alt": True}
-    for r in set(all_rotations(t)):
+    for u, v in splits_by_slicing(t):
+        for alternating, s_key, u_key in (
+            (False, "in_S", "in_U"), (True, "in_S_alt", "in_U_alt")
+        ):
+            if _less_than_reversal(u, alternating) == _less_than_reversal(
+                v, alternating
+            ):
+                flags[u_key] = False
+            else:
+                flags[s_key] = False
+        if not any(flags.values()):
+            break
+    return ClassMembership(**flags)
+
+
+def splits_by_slicing(t: tuple) -> Iterator[tuple[tuple, tuple]]:
+    """Cuts (u, v) of every distinct rotation, both parts non-palindromic.
+
+    Rotations in order of first occurrence, then cut positions ascending.
+    """
+    for r in dict.fromkeys(all_rotations(t)):
         for m in range(1, len(r)):
             u, v = r[:m], r[m:]
-            if u == u[::-1] or v == v[::-1]:
-                continue
-            for alternating, s_key, u_key in (
-                (False, "in_S", "in_U"), (True, "in_S_alt", "in_U_alt")
-            ):
-                if _less_than_reversal(u, alternating) == _less_than_reversal(
-                    v, alternating
-                ):
-                    flags[u_key] = False
-                else:
-                    flags[s_key] = False
-            if not any(flags.values()):
-                return ClassMembership(**flags)
-    return ClassMembership(**flags)
+            if u != u[::-1] and v != v[::-1]:
+                yield u, v
+
+
+def _arrangements(counts: tuple) -> Iterator[tuple]:
+    """Every word with the given content, letter by letter."""
+    if not any(counts):
+        yield ()
+        return
+    for i, c in enumerate(counts):
+        if c:
+            rest = counts[:i] + (c - 1,) + counts[i + 1 :]
+            for w in _arrangements(rest):
+                yield (i,) + w
+
+
+def exchange_graph_by_cuts(counts, alt: bool) -> tuple[tuple, dict]:
+    """Vertices and successor tuples of the exchange graph, from every cut.
+
+    A vertex is the lesser of the least rotations of a word and of its
+    reversal, over a sweep of every word of the content.  Each cut of each
+    distinct rotation of a vertex into two non-palindromic parts u, v that
+    compare with their reversals in opposite senses gives the edge to the
+    vertex of u-reversed v.
+    """
+    canonical: dict[tuple, tuple] = {}  # every word of the content
+    for w in _arrangements(tuple(counts)):
+        if w not in canonical:
+            c = naive_canonical(w)
+            canonical.update(dict.fromkeys(all_rotations(c), c))
+
+    def vertex(t: tuple) -> tuple:
+        return min(canonical[t], canonical[t[::-1]])
+
+    vertices = tuple(sorted({vertex(t) for t in canonical.values()}))
+    edges = {}
+    for key in vertices:
+        targets = set()
+        for u, v in splits_by_slicing(key):
+            if _less_than_reversal(u, alt) != _less_than_reversal(v, alt):
+                targets.add(vertex(u[::-1] + v))
+        edges[key] = tuple(sorted(targets))
+    return vertices, edges
 
 
 def classes_by_sweep(k: int, n: int) -> dict[tuple, set[tuple]]:

@@ -1,10 +1,12 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
 from cycont.cli import GRAPH_CLASS_CAP, SEARCH_CLASS_CAP, main
+from cycont.singular import DESCENT_AREA_CAP
 
 
 def run(capsys, *argv):
@@ -177,6 +179,14 @@ class TestConstruct:
     def test_zero_vector(self, capsys):
         code, _, _ = run(capsys, "construct", "--vector", "0,0")
         assert code == 2
+
+    def test_refuses_a_descent_past_the_area_cap(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "--vector", "1,1000000000000")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert str(DESCENT_AREA_CAP) in err
 
 
 ONES_14 = ",".join(["1"] * 14)  # 13! = 6,227,020,800 cyclic words

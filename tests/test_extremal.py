@@ -34,6 +34,7 @@ from oracles import (
     check_lintocirc,
     classes_by_sweep,
     classify_by_cuts,
+    exchange_graph_by_cuts,
     matrix_continuant,
     necklace_count,
     naive_canonical,
@@ -411,6 +412,22 @@ class TestExchangeGraph:
             assert v.parikh() == vector
             for t in graph.successors(v):
                 assert t.parikh() == vector
+
+    @pytest.mark.parametrize("letters", [1, 2, 3, 4])
+    def test_edges_match_the_cut_oracle(self, letters):
+        """Vertices and every successor tuple, in order, on every vector
+        with counts 0..3, both kinds."""
+        alphabet = alphabet_of_size(letters)
+        for counts in product(range(4), repeat=letters):
+            if not any(counts):
+                continue
+            for kind in (SyncKind.PLAIN, SyncKind.ALT):
+                graph = build_exchange_graph(alphabet.vector(counts), kind)
+                vertices, edges = exchange_graph_by_cuts(counts, kind is SyncKind.ALT)
+                assert tuple(v.indices for v in graph.vertices) == vertices
+                for v in graph.vertices:
+                    got = tuple(t.indices for t in graph.successors(v))
+                    assert got == edges[v.indices], (counts, kind, v)
 
     def test_acyclic_with_unique_source_small_sweep(self):
         """Both exchange graphs are DAGs with one source on every class

@@ -1,9 +1,13 @@
+import time
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycont import singular
+from cycont.continuants import DomainError
 from cycont.extremal import SyncKind, classify
 from cycont.singular import (
     LetterPair,
@@ -310,6 +314,29 @@ class TestConstruct:
                 assert outcome.parikh().counts == counts
                 assert is_singular(outcome)
                 assert outcome.reverse() == outcome
+
+
+class TestDescentAreaCap:
+    """(1, N) descends one letter per step: area (N + 1)(N + 2) / 2."""
+
+    def test_refuses_a_trillion_letters_at_once(self, ab):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="construction cap"):
+                construct_singular(ab.vector((1, 10**12)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert peak < 64 * 1024
+
+    def test_cap_is_on_the_sum_of_the_chain_totals(self, ab, monkeypatch):
+        monkeypatch.setattr(singular, "DESCENT_AREA_CAP", 15)
+        outcome, trace = construct_singular(ab.vector((1, 4)))
+        assert sum(len(w) for w in trace.words) == 15
+        with pytest.raises(DomainError):
+            construct_singular(ab.vector((1, 5)))
 
 
 class TestConstructSearchAgreement:

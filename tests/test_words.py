@@ -19,11 +19,11 @@ from cycont.words import (
 )
 
 from oracles import (
-    all_rotations,
     classes_by_sweep,
     naive_canonical,
     nested_cf,
     nonnegative_compositions,
+    splits_by_slicing,
 )
 from oracles import necklace_count as oracle_necklace_count
 
@@ -325,16 +325,28 @@ class TestSplitPoints:
         assert ("aab", "abaa") in pairs
 
     def test_all_parts_non_palindromic_and_complete(self, abc):
-        omega = abc.cyclic("aabccb")
-        got = [(u.indices, v.indices) for u, v in split_points(omega)]
-        assert got
-        expect = []
-        for r in dict.fromkeys(all_rotations(omega.indices)):
-            for m in range(1, len(r)):
-                u, v = r[:m], r[m:]
-                if u != u[::-1] and v != v[::-1]:
-                    expect.append((u, v))
-        assert got == expect
+        """The exact ordered list of the slicing oracle, on every necklace of
+        1-9 letters over abc and on powers of short words: on periodic words
+        the first p starts stand for the distinct rotations."""
+        assert list(split_points(abc.cyclic("aabccb")))
+        words = [
+            t
+            for n in range(1, 10)
+            for t in product(range(3), repeat=n)
+            if t == naive_canonical(t)
+        ]
+        words += [
+            base * power
+            for n in range(1, 5)
+            for base in product(range(3), repeat=n)
+            for power in range(2, 16 // n + 1)
+        ]
+        for t in words:
+            got = [
+                (u.indices, v.indices)
+                for u, v in split_points(CyclicWord(LinearWord(abc, t)))
+            ]
+            assert got == list(splits_by_slicing(naive_canonical(t))), t
 
     def test_deterministic(self, ab):
         omega = ab.cyclic("aabab")
