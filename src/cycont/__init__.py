@@ -2,9 +2,11 @@
 
 Evaluation of regular and semi-regular continuants and their cyclic
 analogues, the plain and alternating comparison orders with their prefix
-conventions, exhaustive extremal search over cyclic Abelian classes with
-class-membership certificates, exchange graphs, and construction of
-singular cyclic words through insertion maps.
+conventions, extremal search over cyclic Abelian classes with
+class-membership certificates (an exchange walk for the three problems
+with one optimum up to reversal, scoring the whole class for the
+semi-regular maximum), exchange graphs, and construction of singular
+cyclic words through insertion maps.
 """
 
 from .continuants import (

@@ -3,9 +3,15 @@
 Exit codes: 0 success, 1 usage or parse error, 2 domain error (including
 size-guard refusals), 3 algorithmic no-result (failed construction, absent
 preimage).  Machine output is JSON (``--format json``); ``search`` also
-supports CSV rows, one per optimum.  ``search`` and ``graph``, the two
-subcommands that enumerate, refuse a vector whose total exceeds ``--limit``
-and a class larger than a fixed cap, counted beforehand by the cycle index.
+supports CSV rows, one per optimum.  ``graph``, and ``search`` for the
+semi-regular maximum, enumerate the class: they refuse a vector whose total
+exceeds ``--limit`` and a class larger than a fixed cap, counted beforehand
+by the cycle index.  ``search`` answers the other three problems by an
+exchange walk that never enumerates; the library bounds its work and its
+word length instead (``extremal.WALK_WORK_CAP``, ``words.CUT_TABLE_CAP``).
+``classify`` refuses a word longer than ``words.CUT_TABLE_CAP``, because its
+cut table's memory grows as the square of the length.  Integers of any
+length are printed.
 
 The alphabet is resolved from ``--alphabet`` (characters, or comma-separated
 tokens), else defaults to a,b,c,... sized by ``--values`` or the vector, else
@@ -28,9 +34,10 @@ from .continuants import (
     cyclic_regular,
     cyclic_semiregular,
 )
-from .extremal import SyncKind, build_exchange_graph, classify, search
+from .extremal import _IMPROVING, SyncKind, build_exchange_graph, classify, search
 from .singular import construct_singular, xi_cyclic, xi_linear, xi_preimage
 from .words import (
+    CUT_TABLE_CAP,
     CyclicWord,
     LinearWord,
     OrderedAlphabet,
@@ -46,10 +53,11 @@ EXIT_DOMAIN = 2
 EXIT_NO_RESULT = 3
 
 DEFAULT_LIMIT = 14
-# Largest classes (cyclic words) the enumerating subcommands accept, whatever
+# Largest classes (cyclic words) the enumerating paths accept, whatever
 # --limit says.  On a 2-vCPU Xeon the slowest class of total <= 14 under each
-# cap takes about a minute: search 51-54 s for 16,216,200 words, graph 60 s and
-# 307 MB for 90,090 (5,4,4,1; 0.5-0.7 ms and 3 KB per 14-letter word).
+# cap takes about a minute: semi-regular max search 51-54 s for 16,216,200
+# words, graph 60 s and 307 MB for 90,090 (5,4,4,1; 0.5-0.7 ms and 3 KB per
+# 14-letter word).
 SEARCH_CLASS_CAP = 17_000_000
 GRAPH_CLASS_CAP = 100_000
 
@@ -120,7 +128,7 @@ def _check_guard(vector: ParikhVector, limit: int, cap: int) -> None:
         )
     size = necklace_count(vector)
     if size > cap:
-        # Python refuses to print an int of more than 4,300 digits.
+        # A count of thousands of digits would say no more than this.
         shown = size if size < 10**18 else "over 10^18"
         raise CliError(
             f"class of {shown} cyclic words exceeds the class-size cap ({cap})",
@@ -173,6 +181,12 @@ def cmd_eval(args) -> int:
 
 def cmd_classify(args) -> int:
     word = _word_input(args)
+    if len(word) > CUT_TABLE_CAP:
+        raise CliError(
+            f"word of {len(word)} letters exceeds the cut-table cap "
+            f"({CUT_TABLE_CAP})",
+            EXIT_DOMAIN,
+        )
     omega = CyclicWord(word)
     membership = asdict(classify(omega))
     payload = {"word": str(word), "canonical": str(omega), **membership}
@@ -186,7 +200,8 @@ def cmd_classify(args) -> int:
 def cmd_search(args) -> int:
     vector = _vector_input(args)
     alphabet = vector.alphabet
-    _check_guard(vector, args.limit, SEARCH_CLASS_CAP)
+    if (args.valuation, args.direction) not in _IMPROVING:  # enumerates
+        _check_guard(vector, args.limit, SEARCH_CLASS_CAP)
     report = search(vector, valuation=args.valuation, direction=args.direction)
     payload = {
         "vector": list(vector.counts),
@@ -311,7 +326,7 @@ def cmd_xi(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
-def _add_common(p, *, default_format="text", formats=("text", "json"), limit=False):
+def _add_common(p, *, default_format="text", formats=("text", "json"), limit=None):
     p.add_argument("--alphabet", help="symbols, as characters or comma-separated")
     p.add_argument("--values", help="comma-separated integer values per symbol")
     p.add_argument(
@@ -321,7 +336,7 @@ def _add_common(p, *, default_format="text", formats=("text", "json"), limit=Fal
     if limit:
         p.add_argument(
             "--limit", type=int, default=DEFAULT_LIMIT,
-            help=f"enumeration size guard (default {DEFAULT_LIMIT})",
+            help=f"{limit} (default {DEFAULT_LIMIT})",
         )
 
 
@@ -345,8 +360,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("search", help="exhaustive extremal search over a class")
-    _add_common(p, default_format="json", formats=("text", "json", "csv"), limit=True)
+    p = sub.add_parser("search", help="extremal search over a class")
+    _add_common(p, default_format="json", formats=("text", "json", "csv"),
+                limit="enumeration guard on the vector's total; acts only on "
+                "--semiregular --max, the one problem that enumerates")
     p.add_argument("--vector", required=True)
     val = p.add_mutually_exclusive_group(required=True)
     val.add_argument(
@@ -366,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_construct)
 
     p = sub.add_parser("graph", help="exchange graph of a symmetric class")
-    _add_common(p, default_format="json", limit=True)
+    _add_common(p, default_format="json", limit="enumeration guard on the vector's total")
     p.add_argument("--vector", required=True)
     k = p.add_mutually_exclusive_group()
     k.add_argument(
@@ -388,6 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7+ caps it at 4,300
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

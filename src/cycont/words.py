@@ -173,12 +173,17 @@ class CyclicWord:
             raise ValueError("cyclic words must be non-empty")
         k = least_rotation_index(t)
         if k:
-            object.__setattr__(
-                self, "word", LinearWord(self.word.alphabet, t[k:] + t[:k])
-            )
+            t = t[k:] + t[:k]
+            object.__setattr__(self, "word", LinearWord(self.word.alphabet, t))
+        # Graphs and dicts hash a word many times; the generated hash would
+        # rebuild it through LinearWord and OrderedAlphabet each time.
+        object.__setattr__(self, "_hash", hash(t))
 
     def __len__(self) -> int:
         return len(self.word)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return str(self.word)
@@ -305,6 +310,13 @@ def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # -- factorizations -----------------------------------------------------------
+
+# Longest word whose cut table the exchange walk and the CLI's classify
+# build.  The table keeps up to n/2 rows of 3n bits, so memory grows as
+# n^2: classify of a constructed singular word (no early exit) peaked at
+# 80 MB of process RSS at 18k letters, 267 MB at 36k and 1,014 MB at 72k.
+CUT_TABLE_CAP = 40_000
+
 
 def _cut_rows(t: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
     """Cut sets of the cyclic word t, from the outside-in mismatch table.

@@ -5,8 +5,11 @@ import time
 
 import pytest
 
+from cycont import extremal
 from cycont.cli import GRAPH_CLASS_CAP, SEARCH_CLASS_CAP, main
+from cycont.continuants import cyclic_regular
 from cycont.singular import DESCENT_AREA_CAP
+from cycont.words import CUT_TABLE_CAP, alphabet_of_size
 
 
 def run(capsys, *argv):
@@ -63,6 +66,16 @@ class TestEval:
             main(["eval", "--values", "2,3"])
         assert exc.value.code == 1
 
+    def test_prints_a_value_past_4300_digits(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "--word", "ab" * 2500, "--values", "10,11",
+            "--cyclic-regular",
+        )
+        assert code == 0
+        word = alphabet_of_size(2, values=(10, 11)).cyclic("ab" * 2500)
+        assert int(out) == cyclic_regular(word)
+        assert len(out.strip()) > 4300
+
 
 class TestClassify:
     def test_alphabet_inferred_from_word(self, capsys):
@@ -76,6 +89,16 @@ class TestClassify:
         assert code == 0
         assert payload["in_S"] is False
         assert payload["in_U"] is False
+
+    def test_refuses_a_word_past_the_cut_table_cap(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "classify", "--word", "a" * CUT_TABLE_CAP + "b"
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert str(CUT_TABLE_CAP) in err
 
 
 class TestSearch:
@@ -139,6 +162,57 @@ class TestSearch:
         )
         assert code == 0
         assert payload["class_size"] > 0
+
+    def test_long_regular_maximum(self, capsys):
+        code, payload, _ = run_json(
+            capsys, "search", "--vector", "1500,1500,1500", "--values",
+            "10,11,12", "--regular", "--max",
+        )
+        assert code == 0
+        assert len(str(payload["value"])) > 4300
+        assert len(str(payload["class_size"])) > 2000
+        assert payload["unique_up_to_reversal"] is True
+        assert all(o["in_U_alt"] for o in payload["optima"])
+        alphabet = alphabet_of_size(3, values=(10, 11, 12))
+        word = alphabet.cyclic(payload["optima"][0]["word"])
+        assert cyclic_regular(word) == payload["value"]
+
+    @pytest.mark.parametrize("valuation,direction", [
+        ("regular", "max"), ("regular", "min"), ("semiregular", "min"),
+    ])
+    def test_walk_is_not_held_by_the_enumeration_guards(
+        self, capsys, valuation, direction
+    ):
+        """Only the semi-regular maximum enumerates; this vector is past
+        --limit (20 letters) and has 29,331,862,560 cyclic words."""
+        vector = "5,5,4,3,2,1"
+        code, payload, _ = run_json(
+            capsys, "search", "--vector", vector, "--values", "2,3,4,5,6,7",
+            f"--{valuation}", f"--{direction}",
+        )
+        assert code == 0
+        assert payload["class_size"] > SEARCH_CLASS_CAP
+
+    def test_walk_past_its_work_cap_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(extremal, "WALK_WORK_CAP", 10**6)
+        code, out, err = run(
+            capsys, "search", "--vector", "20,20,20,20", "--values", "1,2,3,4",
+            "--regular", "--min",
+        )
+        assert code == 2
+        assert out == ""
+        assert "work cap (1000000)" in err
+
+    def test_walk_refuses_a_trillion_letters_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "search", "--vector", "1,1000000000000", "--values", "2,3",
+            "--regular", "--min",
+        )
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert str(CUT_TABLE_CAP) in err
 
     def test_requires_direction(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from itertools import product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycont import extremal
 from cycont.continuants import (
     DomainError,
     cyclic_regular,
@@ -368,6 +370,112 @@ class TestSearch:
             tracemalloc.stop()
         assert report.class_size == 11_352
         assert peak < 512 * 1024
+
+
+# The three problems the exchange walk answers, and the class flag that
+# certifies each optimum.
+WALKED = (("regular", "max", "in_U_alt"), ("regular", "min", "in_S_alt"),
+          ("semiregular", "min", "in_U"))
+# Value sets: with the value 1, consecutive, and widely spaced.
+WALK_VALUES = {
+    "regular": ((1, 2, 3, 5), (2, 7, 20, 61), (1, 10, 100, 1000)),
+    "semiregular": ((2, 3, 4, 5), (2, 5, 11, 30), (3, 10, 50, 200)),
+}
+
+
+def _cyclic_value(t: tuple, values, sign: int) -> int:
+    vals = [values[i] for i in t]
+    return matrix_continuant(vals, sign) + sign * matrix_continuant(vals[1:-1], sign)
+
+
+@pytest.fixture(scope="module")
+def classes_to_ten():
+    """Every vector over a, b, c, d with total 1-10, zero counts included,
+    with its class as index tuples, listed by the enumeration walk."""
+    abcd = alphabet_of_size(4)
+    return {
+        counts: [w.indices for w in enumerate_class(abcd.vector(counts))]
+        for n in range(1, 11)
+        for counts in nonnegative_compositions(n, 4)
+    }
+
+
+class TestExchangeWalk:
+    """The walk answers regular max, regular min and semi-regular min with
+    the report an exhaustive search gives."""
+
+    @pytest.mark.parametrize("pick", range(3))
+    def test_matches_the_scored_class(self, classes_to_ten, pick):
+        """Every vector of total <= 10 over <= 4 letters: the value, the
+        ordered optima, the certificates, uniqueness and the class size,
+        against every member scored by matrix products."""
+        for valuation, direction, _ in WALKED:
+            values = WALK_VALUES[valuation][pick]
+            alphabet = alphabet_of_size(4, values=values)
+            sign = 1 if valuation == "regular" else -1
+            best_of = max if direction == "max" else min
+            for counts, members in classes_to_ten.items():
+                scored = {t: _cyclic_value(t, values, sign) for t in members}
+                best = best_of(scored.values())
+                expect = sorted(t for t, v in scored.items() if v == best)
+                report = search(alphabet.vector(counts), valuation=valuation,
+                                direction=direction)
+                key = (counts, valuation, direction, values)
+                assert report.value == best, key
+                assert [w.indices for w in report.optima] == expect, key
+                assert report.certificates == tuple(
+                    classify_by_cuts(t) for t in expect
+                ), key
+                assert report.unique_up_to_reversal, key
+                assert report.class_size == len(members), key
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.integers(0, 30), min_size=2, max_size=4).filter(
+        lambda c: 20 <= sum(c) <= 60))
+    def test_end_word_is_in_the_certifying_class(self, counts):
+        """At 20-60 letters, each optimum has the vector's content, the
+        reported value, and the class flag that no improving cut leaves."""
+        values = (2, 3, 5, 8)[: len(counts)]
+        alphabet = alphabet_of_size(len(counts), values=values)
+        for valuation, direction, flag in WALKED:
+            sign = 1 if valuation == "regular" else -1
+            report = search(alphabet.vector(counts), valuation=valuation,
+                            direction=direction)
+            assert len(report.optima) in (1, 2)
+            t = report.optima[0].indices
+            assert [t.count(i) for i in range(len(counts))] == counts
+            assert _cyclic_value(t, values, sign) == report.value
+            assert getattr(classify_by_cuts(t), flag), (counts, valuation)
+
+    def test_work_cap_counts_one_table_per_step(self, abcd, monkeypatch):
+        """aabb is already the regular maximum; its minimum abab is one
+        exchange away.  Each table of 4 letters costs 4 * (4 + 4096)."""
+        table = 4 * (4 + 4096)
+        vector = alphabet_of_size(2, values=(2, 3)).vector((2, 2))
+        monkeypatch.setattr(extremal, "WALK_WORK_CAP", table)
+        assert [str(w) for w in search(vector, valuation="regular",
+                                       direction="max").optima] == ["aabb"]
+        with pytest.raises(DomainError, match="work cap"):
+            search(vector, valuation="regular", direction="min")
+        monkeypatch.setattr(extremal, "WALK_WORK_CAP", 2 * table)
+        assert [str(w) for w in search(vector, valuation="regular",
+                                       direction="min").optima] == ["abab"]
+        monkeypatch.setattr(extremal, "WALK_WORK_CAP", table - 1)
+        with pytest.raises(DomainError, match="work cap"):
+            search(vector, valuation="regular", direction="max")
+
+    def test_refuses_a_trillion_letters_at_once(self, ab):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="cut-table cap"):
+                search(ab.vector((1, 10**12)), values=(2, 3),
+                       valuation="regular", direction="min")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert peak < 64 * 1024
 
 
 class TestExchangeGraph:
