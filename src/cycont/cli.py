@@ -1,17 +1,13 @@
 """Command-line front end: eval, classify, search, construct, graph, xi.
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain error (including
-size-guard refusals), 3 algorithmic no-result (failed construction, absent
-preimage).  Machine output is JSON (``--format json``); ``search`` also
-supports CSV rows, one per optimum.  ``graph``, and ``search`` for the
-semi-regular maximum, enumerate the class: they refuse a vector whose total
-exceeds ``--limit`` and a class larger than a fixed cap, counted beforehand
-by the cycle index.  ``search`` answers the other three problems by an
-exchange walk that never enumerates; the library bounds its work and its
-word length instead (``extremal.WALK_WORK_CAP``, ``words.CUT_TABLE_CAP``).
-``classify`` refuses a word longer than ``words.CUT_TABLE_CAP``, because its
-cut table's memory grows as the square of the length.  Integers of any
-length are printed.
+work- and size-guard refusals), 3 algorithmic no-result (failed
+construction, absent preimage).  Machine output is JSON (``--format
+json``); ``search`` also supports CSV rows, one per optimum.  The CLI keeps
+no guards of its own.  The library refuses, with exit 2, a search or graph
+whose work would pass ``extremal.WORK_CAP`` (about a minute), a word whose
+cut table would not fit in memory, and a construction whose descent passes
+``singular.DESCENT_AREA_CAP``.  Integers of any length are printed.
 
 The alphabet is resolved from ``--alphabet`` (characters, or comma-separated
 tokens), else defaults to a,b,c,... sized by ``--values`` or the vector, else
@@ -34,33 +30,21 @@ from .continuants import (
     cyclic_regular,
     cyclic_semiregular,
 )
-from .extremal import _IMPROVING, SyncKind, build_exchange_graph, classify, search
+from .extremal import SyncKind, build_exchange_graph, classify, search
 from .singular import construct_singular, xi_cyclic, xi_linear, xi_preimage
 from .words import (
-    CUT_TABLE_CAP,
     CyclicWord,
     LinearWord,
     OrderedAlphabet,
     ParikhVector,
     _tokens,
     alphabet_of_size,
-    necklace_count,
 )
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_NO_RESULT = 3
-
-DEFAULT_LIMIT = 14
-# Largest classes (cyclic words) the enumerating paths accept, whatever
-# --limit says.  On a 2-vCPU Xeon the slowest class of total <= 14 under each
-# cap takes about a minute: semi-regular max search 51-54 s for 16,216,200
-# words, graph 60 s and 307 MB for 90,090 (5,4,4,1; 0.5-0.7 ms and 3 KB per
-# 14-letter word).
-SEARCH_CLASS_CAP = 17_000_000
-GRAPH_CLASS_CAP = 100_000
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
@@ -75,10 +59,11 @@ class CliError(Exception):
 
 
 def _resolve_alphabet(args, size: int | None = None) -> OrderedAlphabet:
+    text = getattr(args, "values", None)  # construct and graph take none
     try:
-        values = tuple(int(v) for v in args.values.split(",")) if args.values else None
+        values = tuple(int(v) for v in text.split(",")) if text else None
     except ValueError:
-        raise CliError(f"cannot parse values {args.values!r}", EXIT_USAGE)
+        raise CliError(f"cannot parse values {text!r}", EXIT_USAGE)
     try:
         if args.alphabet:
             return OrderedAlphabet(tuple(_tokens(args.alphabet)), values)
@@ -117,23 +102,6 @@ def _vector_input(args) -> ParikhVector:
     if vector.total < 1:
         raise CliError("zero vector", EXIT_DOMAIN)
     return vector
-
-
-def _check_guard(vector: ParikhVector, limit: int, cap: int) -> None:
-    if vector.total > limit:
-        raise CliError(
-            f"class of total {vector.total} exceeds the enumeration guard "
-            f"({limit}); raise it with --limit",
-            EXIT_DOMAIN,
-        )
-    size = necklace_count(vector)
-    if size > cap:
-        # A count of thousands of digits would say no more than this.
-        shown = size if size < 10**18 else "over 10^18"
-        raise CliError(
-            f"class of {shown} cyclic words exceeds the class-size cap ({cap})",
-            EXIT_DOMAIN,
-        )
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -181,12 +149,6 @@ def cmd_eval(args) -> int:
 
 def cmd_classify(args) -> int:
     word = _word_input(args)
-    if len(word) > CUT_TABLE_CAP:
-        raise CliError(
-            f"word of {len(word)} letters exceeds the cut-table cap "
-            f"({CUT_TABLE_CAP})",
-            EXIT_DOMAIN,
-        )
     omega = CyclicWord(word)
     membership = asdict(classify(omega))
     payload = {"word": str(word), "canonical": str(omega), **membership}
@@ -200,8 +162,6 @@ def cmd_classify(args) -> int:
 def cmd_search(args) -> int:
     vector = _vector_input(args)
     alphabet = vector.alphabet
-    if (args.valuation, args.direction) not in _IMPROVING:  # enumerates
-        _check_guard(vector, args.limit, SEARCH_CLASS_CAP)
     report = search(vector, valuation=args.valuation, direction=args.direction)
     payload = {
         "vector": list(vector.counts),
@@ -267,7 +227,6 @@ def cmd_construct(args) -> int:
 
 def cmd_graph(args) -> int:
     vector = _vector_input(args)
-    _check_guard(vector, args.limit, GRAPH_CLASS_CAP)
     graph = build_exchange_graph(vector, args.kind)
     vertex_names = [str(v) for v in graph.vertices]
     edges = {str(v): [str(t) for t in graph.successors(v)] for v in graph.vertices}
@@ -326,18 +285,14 @@ def cmd_xi(args) -> int:
 
 # -- parser ---------------------------------------------------------------------
 
-def _add_common(p, *, default_format="text", formats=("text", "json"), limit=None):
+def _add_common(p, *, values=True, default_format="text", formats=("text", "json")):
     p.add_argument("--alphabet", help="symbols, as characters or comma-separated")
-    p.add_argument("--values", help="comma-separated integer values per symbol")
+    if values:
+        p.add_argument("--values", help="comma-separated integer values per symbol")
     p.add_argument(
         "--format", choices=formats, default=default_format,
         help=f"output format (default {default_format})",
     )
-    if limit:
-        p.add_argument(
-            "--limit", type=int, default=DEFAULT_LIMIT,
-            help=f"{limit} (default {DEFAULT_LIMIT})",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,9 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_classify)
 
     p = sub.add_parser("search", help="extremal search over a class")
-    _add_common(p, default_format="json", formats=("text", "json", "csv"),
-                limit="enumeration guard on the vector's total; acts only on "
-                "--semiregular --max, the one problem that enumerates")
+    _add_common(p, default_format="json", formats=("text", "json", "csv"))
     p.add_argument("--vector", required=True)
     val = p.add_mutually_exclusive_group(required=True)
     val.add_argument(
@@ -378,12 +331,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_search)
 
     p = sub.add_parser("construct", help="build the singular word for a vector")
-    _add_common(p)
+    _add_common(p, values=False)
     p.add_argument("--vector", required=True)
     p.set_defaults(handler=cmd_construct)
 
     p = sub.add_parser("graph", help="exchange graph of a symmetric class")
-    _add_common(p, default_format="json", limit="enumeration guard on the vector's total")
+    _add_common(p, values=False, default_format="json")
     p.add_argument("--vector", required=True)
     k = p.add_mutually_exclusive_group()
     k.add_argument(

@@ -109,6 +109,12 @@ def _product(vals: Sequence[int], sign: int) -> tuple[int, int, int, int]:
     return p1, sign * p0, q1, sign * q0
 
 
+def _cyclic(vals: Sequence[int], sign: int) -> int:
+    """Trace of the product; x + sign for one letter x (interior K() = 1)."""
+    a, _, _, d = _product(vals, sign)
+    return a + d if len(vals) > 1 else a + sign
+
+
 def _word_vals(
     indices: Sequence[int], values: tuple[int, ...]
 ) -> tuple[int, ...]:
@@ -136,9 +142,7 @@ def cyclic_regular(
 ) -> int:
     """K_cyc(omega); independent of the representative rotation."""
     vals = resolve_values(omega.alphabet, values, "regular")
-    a, _, _, d = _product(_word_vals(omega.indices, vals), 1)
-    # The trace for n >= 2; one letter x has the interior K() = 1, not d = 0.
-    return a + d if len(omega) > 1 else a + 1
+    return _cyclic(_word_vals(omega.indices, vals), 1)
 
 
 def cyclic_semiregular(
@@ -146,8 +150,7 @@ def cyclic_semiregular(
 ) -> int:
     """Kd_cyc(omega); positive whenever all values are >= 2."""
     vals = resolve_values(omega.alphabet, values, "semiregular")
-    a, _, _, d = _product(_word_vals(omega.indices, vals), -1)
-    return a + d if len(omega) > 1 else a - 1
+    return _cyclic(_word_vals(omega.indices, vals), -1)
 
 
 def cf_value(

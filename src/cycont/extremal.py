@@ -26,6 +26,7 @@ every member of the class.
 
 Classification, the walk and the graph's edges read their cuts from one
 outside-in mismatch table, ``words._cut_rows``, in O(n^2) time per word.
+One cap, ``WORK_CAP``, bounds the walk and the two enumerating paths.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Literal, Mapping, Sequence
 
-from .continuants import DomainError, _product, resolve_values
+from .continuants import DomainError, _cyclic, resolve_values
 from .words import (
     CUT_TABLE_CAP,
     CyclicWord,
@@ -102,7 +103,13 @@ def is_synchronizing(
 
 
 def classify(omega: CyclicWord) -> ClassMembership:
-    """Membership in S, S_alt, U, U_alt; vacuously all true if no split exists."""
+    """Membership in S, S_alt, U, U_alt; vacuously all true if no split exists.
+
+    Raises DomainError on a word longer than CUT_TABLE_CAP."""
+    if len(omega) > CUT_TABLE_CAP:
+        raise DomainError(
+            f"word of {len(omega)} letters exceeds the cut-table cap ({CUT_TABLE_CAP})"
+        )
     in_s = in_s_alt = in_u = in_u_alt = True
     for _, cuts, plain, alt in _cut_rows(omega.indices):
         in_s = in_s and not plain
@@ -139,13 +146,46 @@ def reversal_class_representative(omega: CyclicWord) -> CyclicWord:
 
 # -- extremal search ------------------------------------------------------------
 
-# Work cap of the exchange walk.  A step builds one cut table of about n
-# rows, and on a 2-vCPU Xeon a row takes about (n + 4096) x 0.8 ns, the
-# 4096 standing for the interpreter's fixed cost per row; so a step is
-# charged n * (n + 4096), and the cap is about a minute of steps.  Through
-# the CLI, regular min of 450,450,450,450 finishes in 52 s, and that of
-# 500,500,500,500 is refused after 48 s.
-WALK_WORK_CAP = 75_000_000_000
+# The one work cap, in units of about 0.8 ns on a 2-vCPU Xeon: about a
+# minute.  A walk step builds one cut table of about n rows, and a row
+# takes about n + 4096 units, the 4096 standing for the interpreter's fixed
+# cost per row; so a step is charged n * (n + 4096).  Regular min of
+# 450,450,450,450 finishes in 52 s through the CLI, and 500,500,500,500 is
+# refused after 48 s.  The two enumerating paths are charged, before they
+# start, the class size times a cost per member fitted to full classes.
+# Scoring a member costs 3,200-4,300 units at 12-14 letters and about
+# 110 n^2 on n,1,1, whose walk visits about n^2 / 2 prenecklaces per
+# necklace.  A graph member costs 200-250 n^3 units through the CLI at
+# 8-14 letters, 125-155 n^3 at 23-43 and 75-100 n^3 past 60.  The slowest
+# admitted classes found take 64 s (search, 4,1,1,1,1,1,1,1,1,1) and 67 s
+# (graph, 3,3,3,1,1,1).
+WORK_CAP = 75_000_000_000
+
+
+def _search_cost(n: int) -> int:
+    return n * n * (n + 9)
+
+
+def _graph_cost(n: int) -> int:
+    return 100 * n * n * (n + 15)
+
+
+def _class_size(vector: ParikhVector, per_member: int) -> int:
+    """Cycle-index size of the class; DomainError if enumerating it at
+    ``per_member`` units per member would pass WORK_CAP."""
+    if per_member > WORK_CAP:  # counting a class of such words can take long
+        raise DomainError(
+            f"one word of {vector.total} letters exceeds the work cap ({WORK_CAP})"
+        )
+    size = necklace_count(vector)
+    if size * per_member > WORK_CAP:
+        # A count of thousands of digits would say no more than this.
+        shown = size if size < 10**18 else "over 10^18"
+        raise DomainError(
+            f"class of {shown} cyclic words exceeds the work cap ({WORK_CAP})"
+        )
+    return size
+
 
 # Cuts whose exchange improves the value, from (cuts, plain, alt) of a
 # cut-table row: alternating synchronizing, alternating non-synchronizing
@@ -165,7 +205,7 @@ def _exchange_walk(
     Each step exchanges the cut at the lowest start of the first cut length
     whose improving set is non-empty, and canonicalises the moved word.
     The walk ends when no improving cut is left.  It raises DomainError on
-    a word longer than CUT_TABLE_CAP, or once its work passes WALK_WORK_CAP.
+    a word longer than CUT_TABLE_CAP, or once its work passes WORK_CAP.
     """
     n = sum(counts)
     if n > CUT_TABLE_CAP:
@@ -175,7 +215,7 @@ def _exchange_walk(
     step = n * (n + 4096)
     work = step
     t = tuple(i for i, c in enumerate(counts) for _ in range(c))
-    while work <= WALK_WORK_CAP:
+    while work <= WORK_CAP:
         for m, cuts, plain, alt in _cut_rows(t):
             moves = improving(cuts, plain, alt)
             if moves:  # exchange rotation s at m
@@ -186,7 +226,7 @@ def _exchange_walk(
         else:
             return t
         work += step
-    raise DomainError(f"exchange walk exceeds the work cap ({WALK_WORK_CAP})")
+    raise DomainError(f"exchange walk exceeds the work cap ({WORK_CAP})")
 
 
 def search(
@@ -198,15 +238,17 @@ def search(
     """Optimize the cyclic continuant over a cyclic Abelian class.
 
     Returns every optimizer (ties are reported, never broken), each with its
-    full membership certificate.  Regular max, regular min and semi-regular
-    min are answered by the exchange walk, without enumerating the class:
-    the optima are its end word and that word's reversal, and
-    ``class_size`` is the cycle-index count.  The walk raises DomainError
-    past WALK_WORK_CAP of work or CUT_TABLE_CAP letters.  Semi-regular max
-    scores every member inside one enumeration walk, in lexicographic order
-    of canonical representatives; only the running maximum and its ties are
-    kept, so memory does not grow with the class.  A one-letter class {x}
-    has the value x + 1 (regular) or x - 1 (semi-regular).
+    full membership certificate; ``class_size`` is the cycle-index count.
+    Regular max, regular min and semi-regular min are answered by the
+    exchange walk, without enumerating the class: the optima are its end
+    word and that word's reversal.  The walk raises DomainError past
+    WORK_CAP of work or CUT_TABLE_CAP letters.  Semi-regular max scores
+    every member inside one enumeration walk, in lexicographic order of
+    canonical representatives; only the running maximum and its ties are
+    kept, so memory does not grow with the class.  It raises DomainError
+    at once when the class size times the cost per member passes WORK_CAP.
+    A one-letter class {x} has the value x + 1 (regular) or x - 1
+    (semi-regular).
     """
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
@@ -221,11 +263,11 @@ def search(
 
     improving = _IMPROVING.get((valuation, direction))
     if improving is None:  # semi-regular max
+        size = _class_size(vector, _search_cost(vector.total))
         walk = _necklace_walk(vector.counts, vals, sign)
         t, best = next(walk)
         arg = [t]
-        size = 1
-        for size, (t, v) in enumerate(walk, 2):
+        for t, v in walk:
             if v >= best:
                 if v > best:
                     best, arg = v, [t]
@@ -234,10 +276,8 @@ def search(
     else:
         end = _exchange_walk(vector.counts, improving)
         arg = sorted({end, _least_rotation(end[::-1])})
-        a, _, _, d = _product([vals[i] for i in end], sign)
-        best, size = a + d, necklace_count(vector)
-    if vector.total == 1:
-        best += sign
+        best = _cyclic([vals[i] for i in end], sign)
+        size = necklace_count(vector)
 
     alphabet = vector.alphabet
     optima = tuple(CyclicWord(LinearWord(alphabet, t)) for t in arg)
@@ -313,9 +353,12 @@ class ExchangeGraph:
 def build_exchange_graph(
     vector: ParikhVector, kind: SyncKind = SyncKind.PLAIN
 ) -> ExchangeGraph:
-    """Exchange graph of the symmetric cyclic Abelian class of the vector."""
+    """Exchange graph of the symmetric cyclic Abelian class of the vector.
+
+    Raises DomainError at once if the class is charged past WORK_CAP."""
     if vector.total < 1:
         raise ValueError("cannot build the graph of the zero vector")
+    _class_size(vector, _graph_cost(vector.total))
     alphabet = vector.alphabet
     key_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # necklace -> vertex key
     for t, _ in _necklace_walk(vector.counts, (0,) * len(alphabet), 0):

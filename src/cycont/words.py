@@ -311,8 +311,8 @@ def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
 
 # -- factorizations -----------------------------------------------------------
 
-# Longest word whose cut table the exchange walk and the CLI's classify
-# build.  The table keeps up to n/2 rows of 3n bits, so memory grows as
+# Longest word whose cut table ``classify`` and the exchange walk build.
+# The table keeps up to n/2 rows of 3n bits, so memory grows as
 # n^2: classify of a constructed singular word (no early exit) peaked at
 # 80 MB of process RSS at 18k letters, 267 MB at 36k and 1,014 MB at 72k.
 CUT_TABLE_CAP = 40_000
@@ -412,9 +412,9 @@ def _necklace_walk(
 
         P[t] = K(x1..xt),  R[t] = K(x2..xt),  trace = P[n] + sign * R[n-1]
 
-    For n >= 2 the trace is the cyclic continuant (sign +1 regular, -1
-    semi-regular); for n == 1 it is the bare value x1.  Callers that only
-    need the necklaces pass zero values and sign 0.
+    Each value is the cyclic continuant (sign +1 regular, -1 semi-regular):
+    the trace for n >= 2, x1 + sign for n == 1.  Callers that only need
+    the necklaces pass zero values and sign 0.
     """
     n = sum(counts)
     if n == 0:
@@ -425,7 +425,7 @@ def _necklace_walk(
     rem[first] -= 1
     x1 = values[first]
     if n == 1:
-        yield (first,), x1
+        yield (first,), x1 + sign
         return
     if n == 2:
         last = rem.index(1)

@@ -6,8 +6,9 @@ import time
 import pytest
 
 from cycont import extremal
-from cycont.cli import GRAPH_CLASS_CAP, SEARCH_CLASS_CAP, main
+from cycont.cli import main
 from cycont.continuants import cyclic_regular
+from cycont.extremal import WORK_CAP
 from cycont.singular import DESCENT_AREA_CAP
 from cycont.words import CUT_TABLE_CAP, alphabet_of_size
 
@@ -148,20 +149,24 @@ class TestSearch:
         assert code == 2
 
     def test_guard_refuses_large_class(self, capsys):
-        code, _, err = run(
-            capsys, "search", "--vector", "15,15", "--values", "2,3",
+        code, out, err = run(
+            capsys, "search", "--vector", "20,20", "--values", "2,3",
             "--semiregular", "--max",
         )
         assert code == 2
-        assert "guard" in err
+        assert out == ""
+        assert "class of 3446167860 cyclic words" in err
+        assert f"work cap ({WORK_CAP})" in err
 
-    def test_guard_can_be_raised(self, capsys):
+    def test_small_class_of_long_words_is_answered(self, capsys):
+        """Fifteen letters, 429 cyclic words: the guard bounds the work,
+        not the word length."""
         code, payload, _ = run_json(
             capsys, "search", "--vector", "8,7", "--values", "2,3",
-            "--semiregular", "--max", "--limit", "15",
+            "--semiregular", "--max",
         )
         assert code == 0
-        assert payload["class_size"] > 0
+        assert payload["class_size"] == 429
 
     def test_long_regular_maximum(self, capsys):
         code, payload, _ = run_json(
@@ -183,18 +188,19 @@ class TestSearch:
     def test_walk_is_not_held_by_the_enumeration_guards(
         self, capsys, valuation, direction
     ):
-        """Only the semi-regular maximum enumerates; this vector is past
-        --limit (20 letters) and has 29,331,862,560 cyclic words."""
+        """Only the semi-regular maximum enumerates; this vector's class of
+        29,331,862,560 cyclic words is far past what the work cap lets
+        enumeration score."""
         vector = "5,5,4,3,2,1"
         code, payload, _ = run_json(
             capsys, "search", "--vector", vector, "--values", "2,3,4,5,6,7",
             f"--{valuation}", f"--{direction}",
         )
         assert code == 0
-        assert payload["class_size"] > SEARCH_CLASS_CAP
+        assert payload["class_size"] == 29331862560
 
     def test_walk_past_its_work_cap_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setattr(extremal, "WALK_WORK_CAP", 10**6)
+        monkeypatch.setattr(extremal, "WORK_CAP", 10**6)
         code, out, err = run(
             capsys, "search", "--vector", "20,20,20,20", "--values", "1,2,3,4",
             "--regular", "--min",
@@ -268,35 +274,35 @@ TWOS_7 = ",".join(["2"] * 7)  # 48,648,960 cyclic words
 
 
 class TestClassSizeCap:
-    """Vectors within --limit whose class would take hours are refused."""
+    """Classes whose enumeration would pass the work cap are refused at once."""
 
     @pytest.mark.parametrize("vector,size", [(ONES_14, 6227020800), (TWOS_7, 48648960)])
     def test_search_refuses(self, capsys, vector, size):
         values = ",".join(str(v) for v in range(2, vector.count(",") + 3))
+        start = time.perf_counter()
         code, out, err = run(
             capsys, "search", "--vector", vector, "--values", values,
             "--semiregular", "--max",
         )
+        assert time.perf_counter() - start < 1
         assert code == 2
         assert out == ""
-        assert str(size) in err and str(SEARCH_CLASS_CAP) in err
+        assert str(size) in err and str(WORK_CAP) in err
 
-    @pytest.mark.parametrize("vector,size", [(ONES_14, 6227020800), (TWOS_7, 48648960)])
+    @pytest.mark.parametrize("vector,size", [
+        (ONES_14, 6227020800), (TWOS_7, 48648960), ("80,1,1,1", 6642),
+    ])
     def test_graph_refuses(self, capsys, vector, size):
+        start = time.perf_counter()
         code, out, err = run(capsys, "graph", "--vector", vector)
+        assert time.perf_counter() - start < 1
         assert code == 2
         assert out == ""
-        assert str(size) in err and str(GRAPH_CLASS_CAP) in err
-
-    def test_raising_the_limit_does_not_lift_the_cap(self, capsys):
-        code, _, err = run(capsys, "graph", "--vector", "15,15", "--limit", "30")
-        assert code == 2
-        assert str(GRAPH_CLASS_CAP) in err
+        assert str(size) in err and str(WORK_CAP) in err
 
     def test_count_too_long_to_print(self, capsys):
-        code, _, err = run(
-            capsys, "graph", "--vector", "9000,9000", "--limit", "18000"
-        )
+        """25 distinct letters: 24! cyclic words."""
+        code, _, err = run(capsys, "graph", "--vector", ",".join(["1"] * 25))
         assert code == 2
         assert "over 10^18 cyclic words" in err
 
@@ -316,9 +322,16 @@ class TestGraph:
         assert payload["edge_count"] == 0
 
     def test_guard(self, capsys):
-        code, _, err = run(capsys, "graph", "--vector", "15,15")
+        code, out, err = run(capsys, "graph", "--vector", "15,15")
         assert code == 2
-        assert "guard" in err
+        assert out == ""
+        assert "class of 5170604 cyclic words" in err
+        assert f"work cap ({WORK_CAP})" in err
+
+    def test_small_class_of_long_words_is_answered(self, capsys):
+        code, payload, _ = run_json(capsys, "graph", "--vector", "8,7")
+        assert code == 0
+        assert payload["vertices"]
 
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "graph", "--vector", "2,2,2", "--plain", "--dot")
@@ -381,6 +394,8 @@ class TestFlagsOnlyWhereTheyAct:
         ["classify", "--word", "ab", "--format", "csv"],
         ["construct", "--vector", "3,3,4,2", "--limit", "5"],
         ["xi", "--word", "abc", "--letter", "b", "--format", "csv"],
+        ["construct", "--vector", "3,3", "--values", "1,1"],
+        ["graph", "--vector", "2,2", "--values", "2,3"],
     ])
     def test_no_op_flags_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -388,13 +403,16 @@ class TestFlagsOnlyWhereTheyAct:
         assert exc.value.code == 1
         assert "usage:" in capsys.readouterr().err
 
-    def test_graph_limit_still_acts(self, capsys):
-        code, _, err = run(capsys, "graph", "--vector", "2,2", "--limit", "3")
-        assert code == 2
-        assert "guard" in err
-        code, payload, _ = run_json(capsys, "graph", "--vector", "8,7", "--limit", "15")
-        assert code == 0
-        assert payload["vertices"]
+    @pytest.mark.parametrize("argv", [
+        ["search", "--vector", "2,2", "--values", "2,3", "--semiregular",
+         "--max", "--limit", "20"],
+        ["graph", "--vector", "2,2", "--limit", "20"],
+    ])
+    def test_limit_flag_is_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestEmptyWordWithoutAlphabet:

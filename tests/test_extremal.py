@@ -452,15 +452,15 @@ class TestExchangeWalk:
         exchange away.  Each table of 4 letters costs 4 * (4 + 4096)."""
         table = 4 * (4 + 4096)
         vector = alphabet_of_size(2, values=(2, 3)).vector((2, 2))
-        monkeypatch.setattr(extremal, "WALK_WORK_CAP", table)
+        monkeypatch.setattr(extremal, "WORK_CAP", table)
         assert [str(w) for w in search(vector, valuation="regular",
                                        direction="max").optima] == ["aabb"]
         with pytest.raises(DomainError, match="work cap"):
             search(vector, valuation="regular", direction="min")
-        monkeypatch.setattr(extremal, "WALK_WORK_CAP", 2 * table)
+        monkeypatch.setattr(extremal, "WORK_CAP", 2 * table)
         assert [str(w) for w in search(vector, valuation="regular",
                                        direction="min").optima] == ["abab"]
-        monkeypatch.setattr(extremal, "WALK_WORK_CAP", table - 1)
+        monkeypatch.setattr(extremal, "WORK_CAP", table - 1)
         with pytest.raises(DomainError, match="work cap"):
             search(vector, valuation="regular", direction="max")
 
@@ -476,6 +476,68 @@ class TestExchangeWalk:
             tracemalloc.stop()
         assert time.perf_counter() - start < 1
         assert peak < 64 * 1024
+
+
+def _vector(counts):
+    return alphabet_of_size(len(counts)).vector(counts)
+
+
+def _values(counts):
+    return tuple(range(2, len(counts) + 2))
+
+
+class TestWorkCap:
+    """Semi-regular max search and the exchange graph are charged the class
+    size times a cost per member before they enumerate, and refused at
+    once past WORK_CAP."""
+
+    @pytest.mark.parametrize("counts", [(1,) * 14, (2,) * 7, (2000, 1, 1)])
+    def test_search_refuses_at_once(self, counts):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="work cap"):
+            search(_vector(counts), _values(counts), "semiregular", "max")
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("counts", [(1,) * 14, (2,) * 7, (80, 1, 1, 1)])
+    def test_graph_refuses_at_once(self, counts):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="work cap"):
+            build_exchange_graph(_vector(counts))
+        assert time.perf_counter() - start < 1
+
+    def test_search_is_charged_per_member(self, monkeypatch):
+        """8,7 has 429 cyclic words of 15 letters."""
+        charge = 429 * extremal._search_cost(15)
+        monkeypatch.setattr(extremal, "WORK_CAP", charge)
+        report = search(_vector((8, 7)), (2, 3), "semiregular", "max")
+        assert report.class_size == 429
+        monkeypatch.setattr(extremal, "WORK_CAP", charge - 1)
+        with pytest.raises(DomainError, match="class of 429 cyclic words"):
+            search(_vector((8, 7)), (2, 3), "semiregular", "max")
+
+    def test_graph_is_charged_per_member(self, monkeypatch):
+        """2,2,2 has 16 cyclic words of 6 letters."""
+        charge = 16 * extremal._graph_cost(6)
+        monkeypatch.setattr(extremal, "WORK_CAP", charge)
+        assert len(build_exchange_graph(_vector((2, 2, 2))).vertices) == 11
+        monkeypatch.setattr(extremal, "WORK_CAP", charge - 1)
+        with pytest.raises(DomainError, match="class of 16 cyclic words"):
+            build_exchange_graph(_vector((2, 2, 2)))
+
+    def test_walked_problems_are_not_charged_for_the_class(self, monkeypatch):
+        """Only the walk's steps count: one table of 4 letters at most."""
+        monkeypatch.setattr(extremal, "WORK_CAP", 2 * 4 * (4 + 4096))
+        for valuation, direction, _ in WALKED:
+            report = search(_vector((2, 2)), (2, 3), valuation, direction)
+            assert report.class_size == 2
+
+    def test_a_word_past_the_cap_is_refused_before_counting(self):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="one word of 2000000000000"):
+            build_exchange_graph(_vector((10**12, 10**12)))
+        with pytest.raises(DomainError, match="one word of 2000000000000"):
+            search(_vector((10**12, 10**12)), (2, 3), "semiregular", "max")
+        assert time.perf_counter() - start < 1
 
 
 class TestExchangeGraph:
