@@ -300,6 +300,16 @@ class TestClassSizeCap:
         assert out == ""
         assert str(size) in err and str(WORK_CAP) in err
 
+    def test_raising_the_limit_does_not_lift_the_cap(self, capsys):
+        """No flag lifts the cap: --limit is a usage error, and 15,15 stays refused."""
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", "--vector", "15,15", "--limit", "30"])
+        assert exc.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+        code, _, err = run(capsys, "graph", "--vector", "15,15")
+        assert code == 2
+        assert str(WORK_CAP) in err
+
     def test_count_too_long_to_print(self, capsys):
         """25 distinct letters: 24! cyclic words."""
         code, _, err = run(capsys, "graph", "--vector", ",".join(["1"] * 25))
