@@ -41,9 +41,11 @@ from .words import (
     CyclicWord,
     LinearWord,
     ParikhVector,
+    _at_rotation,
     _cmp_alt,
     _cmp_lex,
     _cut_rows,
+    _known_necklace,
     _least_rotation,
     _necklace_walk,
     necklace_count,
@@ -155,10 +157,11 @@ def reversal_class_representative(omega: CyclicWord) -> CyclicWord:
 # start, the class size times a cost per member fitted to full classes.
 # Scoring a member costs 3,200-4,300 units at 12-14 letters and about
 # 110 n^2 on n,1,1, whose walk visits about n^2 / 2 prenecklaces per
-# necklace.  A graph member costs 200-250 n^3 units through the CLI at
-# 8-14 letters, 125-155 n^3 at 23-43 and 75-100 n^3 past 60.  The slowest
-# admitted classes found take 64 s (search, 4,1,1,1,1,1,1,1,1,1) and 67 s
-# (graph, 3,3,3,1,1,1).
+# necklace.  A graph member costs 130-255 n^3 units through the CLI at
+# 9-16 letters, 30-105 n^3 at 19-43 and 12-37 n^3 at 66-281, against
+# 147-252, 62-126 and 20-45 n^3 charged by 12 n^2 (n + 180).  The slowest
+# admitted classes found take 64 s (search, 4,1,1,1,1,1,1,1,1,1) and 58 s
+# (graph, 7,2,2,2,1).
 WORK_CAP = 75_000_000_000
 
 
@@ -167,7 +170,7 @@ def _search_cost(n: int) -> int:
 
 
 def _graph_cost(n: int) -> int:
-    return 100 * n * n * (n + 15)
+    return 12 * n * n * (n + 180)
 
 
 def _class_size(vector: ParikhVector, per_member: int) -> int:
@@ -280,7 +283,7 @@ def search(
         size = necklace_count(vector)
 
     alphabet = vector.alphabet
-    optima = tuple(CyclicWord(LinearWord(alphabet, t)) for t in arg)
+    optima = tuple(_known_necklace(alphabet, t) for t in arg)
     certificates = tuple(classify(w) for w in optima)
     unique = len(optima) == 1 or (
         len(optima) == 2 and optima[0].reverse() == optima[1]
@@ -360,11 +363,13 @@ def build_exchange_graph(
         raise ValueError("cannot build the graph of the zero vector")
     _class_size(vector, _graph_cost(vector.total))
     alphabet = vector.alphabet
-    key_of: dict[tuple[int, ...], tuple[int, ...]] = {}  # necklace -> vertex key
-    for t, _ in _necklace_walk(vector.counts, (0,) * len(alphabet), 0):
-        key_of[t] = min(t, _least_rotation(t[::-1]))
-    keys = sorted(set(key_of.values()))
-    vertex_of = {key: CyclicWord(LinearWord(alphabet, key)) for key in keys}
+    walk = _necklace_walk(vector.counts, (0,) * len(alphabet), 0)
+    key_of = {t: t for t, _ in walk}  # necklace -> itself, then -> vertex key
+    low = next(i for i, c in enumerate(vector.counts) if c)
+    # Every word canonicalised below is a rotation of a necklace of the class.
+    keys = [min(t, _at_rotation(key_of, t[::-1], low)) for t in key_of]
+    key_of = dict(zip(key_of, keys))
+    vertex_of = {key: _known_necklace(alphabet, key) for key in sorted(set(keys))}
 
     plain = kind is SyncKind.PLAIN
     n = vector.total
@@ -379,6 +384,6 @@ def build_exchange_graph(
                 apart &= apart - 1
                 r = d[s : s + n]
                 moved.add(r[m - 1 :: -1] + r[m:])
-        targets = {key_of[_least_rotation(w)] for w in moved}
+        targets = {_at_rotation(key_of, w, low) for w in moved}
         edges[vertex] = tuple(vertex_of[k] for k in sorted(targets))
     return ExchangeGraph(vector, kind, tuple(vertex_of.values()), edges)

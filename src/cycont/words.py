@@ -34,7 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import comb, gcd
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, TypeVar
+
+_V = TypeVar("_V")
 
 
 class Ordering(Enum):
@@ -309,6 +311,41 @@ def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
     return t[k:] + t[:k] if k else t
 
 
+def _at_rotation(
+    table: dict[tuple[int, ...], _V], w: tuple[int, ...], low: int
+) -> _V:
+    """Value of ``table`` at the one rotation of w that is among its keys.
+
+    The keys are least rotations (necklaces), so the key sought is w's
+    least rotation, without Booth's algorithm.  With ``low`` the least
+    letter of w, that rotation starts a maximal run of ``low``: one letter
+    inside a run, the rotation a step earlier would be smaller.  So only
+    run starts are tried.  A word of one repeated letter has no run start
+    and is its own least rotation.  No value may be None.  KeyError if
+    no rotation is a key.
+    """
+    n = len(w)
+    d = w + w
+    s = w.index(low)
+    stop = s + n  # d[stop] is low: index() below never runs off d
+    while s < stop:
+        if d[s - 1] != low:  # d[-1] is w's last letter, so s = 0 is cyclic
+            value = table.get(d[s : s + n])
+            if value is not None:
+                return value
+        s = d.index(low, s + 1)
+    return table[w]
+
+
+def _known_necklace(alphabet: OrderedAlphabet, t: tuple[int, ...]) -> CyclicWord:
+    """``CyclicWord(LinearWord(alphabet, t))`` for a t that is already its
+    least rotation, without the Booth pass; it compares and hashes equal."""
+    omega = object.__new__(CyclicWord)
+    object.__setattr__(omega, "word", LinearWord(alphabet, t))
+    object.__setattr__(omega, "_hash", hash(t))
+    return omega
+
+
 # -- factorizations -----------------------------------------------------------
 
 # Longest word whose cut table ``classify`` and the exchange walk build.
@@ -482,7 +519,7 @@ def enumerate_class(vector: ParikhVector) -> Iterator[CyclicWord]:
     alphabet = vector.alphabet
     zeros = (0,) * len(alphabet)
     for t, _ in _necklace_walk(vector.counts, zeros, 0):
-        yield CyclicWord(LinearWord(alphabet, t))
+        yield _known_necklace(alphabet, t)
 
 
 def necklace_count(vector: ParikhVector) -> int:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycont import extremal
+from cycont import extremal, words
 from cycont.continuants import (
     DomainError,
     cyclic_regular,
@@ -28,6 +28,7 @@ from cycont.words import (
     OrderedAlphabet,
     alphabet_of_size,
     enumerate_class,
+    least_rotation_index,
     split_points,
 )
 from cycont.singular import construct_singular, is_singular
@@ -583,21 +584,52 @@ class TestExchangeGraph:
             for t in graph.successors(v):
                 assert t.parikh() == vector
 
+    @staticmethod
+    def _assert_matches_cut_oracle(counts):
+        alphabet = alphabet_of_size(len(counts))
+        for kind in (SyncKind.PLAIN, SyncKind.ALT):
+            graph = build_exchange_graph(alphabet.vector(counts), kind)
+            vertices, edges = exchange_graph_by_cuts(counts, kind is SyncKind.ALT)
+            assert tuple(v.indices for v in graph.vertices) == vertices
+            for v in graph.vertices:
+                got = tuple(t.indices for t in graph.successors(v))
+                assert got == edges[v.indices], (counts, kind, v)
+
     @pytest.mark.parametrize("letters", [1, 2, 3, 4])
     def test_edges_match_the_cut_oracle(self, letters):
         """Vertices and every successor tuple, in order, on every vector
         with counts 0..3, both kinds."""
-        alphabet = alphabet_of_size(letters)
         for counts in product(range(4), repeat=letters):
-            if not any(counts):
-                continue
-            for kind in (SyncKind.PLAIN, SyncKind.ALT):
-                graph = build_exchange_graph(alphabet.vector(counts), kind)
-                vertices, edges = exchange_graph_by_cuts(counts, kind is SyncKind.ALT)
-                assert tuple(v.indices for v in graph.vertices) == vertices
-                for v in graph.vertices:
-                    got = tuple(t.indices for t in graph.successors(v))
-                    assert got == edges[v.indices], (counts, kind, v)
+            if any(counts):
+                self._assert_matches_cut_oracle(counts)
+
+    @pytest.mark.parametrize(
+        "counts", [(12, 1, 1), (9, 2, 1), (1, 1, 12), (3, 3, 3), (4, 4), (2, 2, 2, 2)]
+    )
+    def test_edges_match_the_cut_oracle_on_skewed_and_periodic_classes(self, counts):
+        """A frequent and a rare least letter (long and single runs to
+        step over), and classes with vertices of period below n."""
+        self._assert_matches_cut_oracle(counts)
+
+    @pytest.mark.parametrize("counts", [(2, 2, 2), (3, 2, 1, 2)])
+    def test_build_makes_no_booth_pass(self, counts, monkeypatch):
+        """Every word the build canonicalises is a rotation of a necklace
+        the class walk produced, so it is looked up, never run through
+        least_rotation_index."""
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return least_rotation_index(t)
+
+        monkeypatch.setattr(words, "least_rotation_index", counting)
+        vector = _vector(counts)
+        for kind in (SyncKind.PLAIN, SyncKind.ALT):
+            graph = build_exchange_graph(vector, kind)
+            assert sum(len(graph.successors(v)) for v in graph.vertices) > 0
+        assert calls == []
+        CyclicWord(LinearWord(vector.alphabet, (1, 0)))  # the patch is live
+        assert calls == [(1, 0)]
 
     def test_acyclic_with_unique_source_small_sweep(self):
         """Both exchange graphs are DAGs with one source on every class

@@ -10,6 +10,8 @@ from cycont.words import (
     OrderedAlphabet,
     Ordering,
     ParikhVector,
+    _at_rotation,
+    _known_necklace,
     alphabet_of_size,
     compare_alt,
     compare_lex,
@@ -236,6 +238,44 @@ class TestCanonicalize:
         w = LinearWord(abcd, tuple(ixs))
         assert CyclicWord(w).indices == naive_canonical(w.indices)
 
+    @pytest.mark.parametrize("letters,max_len", [(1, 5), (2, 10), (3, 7)])
+    def test_known_necklace_equals_and_hashes_like_cyclic_word(self, letters, max_len):
+        alphabet = alphabet_of_size(letters)
+        for n in range(1, max_len + 1):
+            for t in product(range(letters), repeat=n):
+                if t != naive_canonical(t):
+                    continue
+                known = _known_necklace(alphabet, t)
+                booth = CyclicWord(LinearWord(alphabet, t))
+                assert known == booth and booth == known
+                assert hash(known) == hash(booth)
+                assert {known: 1}[booth] == 1
+                assert (str(known), repr(known), len(known)) == (
+                    str(booth), repr(booth), len(booth))
+                assert known.reverse() == booth.reverse()
+                assert known.parikh() == booth.parikh()
+
+
+class TestAtRotation:
+    """The rotation lookup against least rotations by brute force."""
+
+    @pytest.mark.parametrize("letters,max_len", [(1, 5), (2, 10), (3, 7), (4, 6)])
+    def test_finds_the_least_rotation_of_every_word(self, letters, max_len):
+        """The keys are every necklace of the length; the values are their
+        ranks, so the first is 0 and still found."""
+        for n in range(1, max_len + 1):
+            words = list(product(range(letters), repeat=n))
+            necklaces = sorted({naive_canonical(t) for t in words})
+            rank = {c: i for i, c in enumerate(necklaces)}
+            for t in words:
+                assert necklaces[_at_rotation(rank, t, min(t))] == naive_canonical(t)
+
+    def test_a_word_with_no_rotation_among_the_keys(self):
+        with pytest.raises(KeyError):
+            _at_rotation({(0, 0, 1): "x"}, (0, 1, 1), 0)
+        with pytest.raises(KeyError):
+            _at_rotation({(1, 1, 1): "x"}, (0, 0, 0), 0)
+
 
 class TestEnumerateClass:
     def test_single_necklace(self, ab):
@@ -274,6 +314,16 @@ class TestEnumerateClass:
         produced = list(enumerate_class(alphabet.vector(counts)))
         assert len(produced) == necklace_count(counts)
         assert len(set(produced)) == len(produced)
+
+    @pytest.mark.parametrize("counts", [(0, 5), (6, 6), (3, 2, 1, 2, 2), (1, 1, 6, 1)])
+    def test_yields_least_rotations_as_cyclic_words(self, counts):
+        """Each word is its own least rotation, by brute force, and equals
+        and hashes like the same tuple canonicalised by Booth."""
+        alphabet = alphabet_of_size(len(counts))
+        for w in enumerate_class(alphabet.vector(counts)):
+            assert w.indices == naive_canonical(w.indices)
+            booth = CyclicWord(LinearWord(alphabet, w.indices))
+            assert w == booth and hash(w) == hash(booth)
 
     @pytest.mark.parametrize(
         "letters,max_total",
