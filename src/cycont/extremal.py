@@ -22,7 +22,10 @@ word it applies one improving exchange at a time (across alternating
 synchronizing, alternating non-synchronizing and plain synchronizing cuts)
 until none is left, so the end word is in the class that certifies it.
 Semi-regular max, whose maxima lie in S but may tie, is found by scoring
-every member of the class.
+the class inside one enumeration walk that skips every prefix with a
+short plain non-synchronizing cut (a part of 2 or 3 letters, the other
+part's end letters distinct): exchanging across it would raise the
+value, so no maximum has one, and four letters of the prefix decide it.
 
 Classification, the walk and the graph's edges read their cuts from one
 outside-in mismatch table, ``words._cut_rows``, in O(n^2) time per word.
@@ -155,13 +158,17 @@ def reversal_class_representative(omega: CyclicWord) -> CyclicWord:
 # 450,450,450,450 finishes in 52 s through the CLI, and 500,500,500,500 is
 # refused after 48 s.  The two enumerating paths are charged, before they
 # start, the class size times a cost per member fitted to full classes.
-# Scoring a member costs 3,200-4,300 units at 12-14 letters and about
-# 110 n^2 on n,1,1, whose walk visits about n^2 / 2 prenecklaces per
-# necklace.  A graph member costs 130-255 n^3 units through the CLI at
-# 9-16 letters, 30-105 n^3 at 19-43 and 12-37 n^3 at 66-281, against
-# 147-252, 62-126 and 20-45 n^3 charged by 12 n^2 (n + 180).  The slowest
-# admitted classes found take 64 s (search, 4,1,1,1,1,1,1,1,1,1) and 58 s
-# (graph, 7,2,2,2,1).
+# Scoring a member without the prune cost 3,200-4,300 units at 12-14
+# letters and about 110 n^2 on n,1,1, whose walk visits about n^2 / 2
+# prenecklaces per necklace.  The prune leaves 6-320 units per member
+# on the highest-charged admitted classes of total 16 or less, 14,14 and
+# 12,12,1, but cuts little where the least letter is frequent: pinned to
+# one CPU, 519,1,1, 145,1,1,1 and 60,1,1,1,1 take 8.1, 14.2 and 17.0 s,
+# against 7.1, 12.9 and 18.8 s without it.  A graph member costs
+# 130-255 n^3 units through the CLI at 9-16 letters, 30-105 n^3 at 19-43
+# and 12-37 n^3 at 66-281, against 147-252, 62-126 and 20-45 n^3 charged
+# by 12 n^2 (n + 180).  The slowest admitted classes found take 17-26 s
+# (search, 60,1,1,1,1) and 58 s (graph, 7,2,2,2,1).
 WORK_CAP = 75_000_000_000
 
 
@@ -246,10 +253,15 @@ def search(
     exchange walk, without enumerating the class: the optima are its end
     word and that word's reversal.  The walk raises DomainError past
     WORK_CAP of work or CUT_TABLE_CAP letters.  Semi-regular max scores
-    every member inside one enumeration walk, in lexicographic order of
-    canonical representatives; only the running maximum and its ties are
-    kept, so memory does not grow with the class.  It raises DomainError
-    at once when the class size times the cost per member passes WORK_CAP.
+    the class inside one enumeration walk, in lexicographic order of
+    canonical representatives, and skips every member with a short plain
+    non-synchronizing cut (``words._necklace_walk``, ``prune_apart``): an
+    exchange across such a cut strictly raises the value, so every
+    maximum and every tie is still scored.  Only the running maximum and
+    its ties are kept, so memory does not grow with the class.  It raises
+    DomainError at once when the class size times the cost per member
+    passes WORK_CAP.  The cost was fitted to the unpruned walk; the skips
+    remove nodes from it and add O(1) work to each node left.
     A one-letter class {x} has the value x + 1 (regular) or x - 1
     (semi-regular).
     """
@@ -267,7 +279,7 @@ def search(
     improving = _IMPROVING.get((valuation, direction))
     if improving is None:  # semi-regular max
         size = _class_size(vector, _search_cost(vector.total))
-        walk = _necklace_walk(vector.counts, vals, sign)
+        walk = _necklace_walk(vector.counts, vals, sign, prune_apart=True)
         t, best = next(walk)
         arg = [t]
         for t, v in walk:

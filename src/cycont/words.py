@@ -26,7 +26,9 @@ Cyclic Abelian classes (all cyclic words with a given Parikh vector) are
 enumerated by one FKM-style fixed-content necklace walk, yielding each
 class member exactly once in lexicographic order of canonical
 representatives.  The walk also carries the cyclic continuant of each
-member down the tree, so extremal search scores the class as it goes.
+member down the tree, so extremal search scores the class as it goes;
+for the semi-regular maximum it also skips every prefix with a short
+plain non-synchronizing cut, which no maximum has.
 """
 
 from __future__ import annotations
@@ -437,7 +439,10 @@ def split_points(omega: CyclicWord) -> Iterator[tuple[LinearWord, LinearWord]]:
 # -- cyclic Abelian class enumeration -----------------------------------------
 
 def _necklace_walk(
-    counts: Sequence[int], values: Sequence[int], sign: int
+    counts: Sequence[int],
+    values: Sequence[int],
+    sign: int,
+    prune_apart: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Necklaces with fixed content, in lexicographic order, with their traces.
 
@@ -452,6 +457,21 @@ def _necklace_walk(
     Each value is the cyclic continuant (sign +1 regular, -1 semi-regular):
     the trace for n >= 2, x1 + sign for n == 1.  Callers that only need
     the necklaces pass zero values and sign 0.
+
+    With ``prune_apart``, the walk skips every necklace that has a short
+    apart cut: a plain non-synchronizing cut into u, of 2 or 3 letters,
+    and v, whose end letters differ.  Each part then compares with its
+    reversal by its end letters: u by first(u) and last(u), v by its
+    first letter c, the one after u, and its last letter d, the one
+    before u.  So the cut is apart when first(u) != last(u), c != d and
+    (first(u) < last(u)) != (c < d): four letters decide it.  At depth t
+    the prefix fixes d and u, so the rule bounds the letter c placed at t
+    from above (c <= d when first(u) < last(u)) or from below (c >= d),
+    and the walk keeps its O(1) work per node.  The cuts that take in the
+    last letter or wrap round the end are checked once the word is full.
+    An exchange across a plain non-synchronizing cut strictly increases
+    the semi-regular cyclic continuant, so no skipped necklace is a
+    semi-regular maximum.
     """
     n = sum(counts)
     if n == 0:
@@ -475,13 +495,15 @@ def _necklace_walk(
     per = [1] * (n + 1)  # period of the prenecklace a[1..t-1]
     lo = [first] * (n + 1)  # least admissible letter at depth t
     nxt = [first] * (n + 1)  # next letter to try at depth t
+    top = [k] * (n + 1)  # letters at depth t stay below top[t]
     m = n - 1  # depth whose child is forced: one letter is left, placed inline
     t = 2
     while t >= 2:
         j = nxt[t]
-        while j < k and not rem[j]:
+        stop = top[t]
+        while j < stop and not rem[j]:
             j += 1
-        if j == k:
+        if j >= stop:
             t -= 1
             rem[a[t]] += 1
             continue
@@ -500,9 +522,12 @@ def _necklace_walk(
                 p = n
             if n % p == 0:
                 a[n] = last
+                w = tuple(a[1:])
+                if prune_apart and _apart_at_the_end(w):
+                    continue
                 pm = v * P[t - 1] + sign * P[t - 2]
                 rm = v * R[t - 1] + sign * R[t - 2]
-                yield tuple(a[1:]), values[last] * pm + sign * (P[t - 1] + rm)
+                yield w, values[last] * pm + sign * (P[t - 1] + rm)
             continue
         P[t] = v * P[t - 1] + sign * P[t - 2]
         R[t] = v * R[t - 1] + sign * R[t - 2]
@@ -510,6 +535,42 @@ def _necklace_walk(
         t += 1
         per[t] = p
         lo[t] = nxt[t] = a[t - p]
+        if prune_apart and t >= 4:  # u ends in j = a[t - 1]; d comes before u
+            x, d = a[t - 2], a[t - 3]  # u of 2 letters
+            if x == j == d:  # inside a run: no u has distinct ends
+                top[t] = k
+            else:
+                least, stop = 0, k
+                if x < j:
+                    stop = d + 1
+                elif x > j:
+                    least = d
+                if t >= 5:
+                    x, d = d, a[t - 4]  # u of 3 letters, from a[t - 3]
+                    if x < j:
+                        if d < stop:
+                            stop = d + 1
+                    elif x > j and d > least:
+                        least = d
+                top[t] = stop
+                if least > nxt[t]:
+                    nxt[t] = least
+
+
+def _apart_at_the_end(w: tuple[int, ...]) -> bool:
+    """True if the cyclic word w has a short apart cut (see
+    ``_necklace_walk``) that takes in its last letter or wraps round:
+    the cuts that the walk cannot see from a prefix."""
+    n = len(w)
+    for L in (2, 3):
+        if n < L + 2:  # v needs two letters
+            break
+        for i in range(n - L - 2, n):  # d = w[i], u = w[i + 1 .. i + L]
+            x, y = w[(i + 1) % n], w[(i + L) % n]
+            d, c = w[i], w[(i + L + 1) % n]
+            if x != y and c != d and (x < y) != (c < d):
+                return True
+    return False
 
 
 def enumerate_class(vector: ParikhVector) -> Iterator[CyclicWord]:

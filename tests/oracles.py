@@ -135,14 +135,16 @@ def _arrangements(counts: tuple) -> Iterator[tuple]:
                 yield (i,) + w
 
 
-def exchange_graph_by_cuts(counts, alt: bool) -> tuple[tuple, dict]:
-    """Vertices and successor tuples of the exchange graph, from every cut.
+def exchange_graphs_by_cuts(counts) -> dict[bool, tuple[tuple, dict]]:
+    """Vertices and successor tuples of both exchange graphs, from every cut.
 
-    A vertex is the lesser of the least rotations of a word and of its
-    reversal, over a sweep of every word of the content.  Each cut of each
-    distinct rotation of a vertex into two non-palindromic parts u, v that
-    compare with their reversals in opposite senses gives the edge to the
-    vertex of u-reversed v.
+    Keyed by ``alt``: False for the plain graph, True for the alternating
+    one.  A vertex is the lesser of the least rotations of a word and of
+    its reversal, over one sweep of every word of the content that both
+    graphs share.  Each cut of each distinct rotation of a vertex into two
+    non-palindromic parts u, v that compare with their reversals in
+    opposite senses, under the graph's order, gives the edge to the vertex
+    of u-reversed v.
     """
     canonical: dict[tuple, tuple] = {}  # every word of the content
     for w in _arrangements(tuple(counts)):
@@ -154,14 +156,21 @@ def exchange_graph_by_cuts(counts, alt: bool) -> tuple[tuple, dict]:
         return min(canonical[t], canonical[t[::-1]])
 
     vertices = tuple(sorted({vertex(t) for t in canonical.values()}))
-    edges = {}
+    edges: dict[bool, dict] = {False: {}, True: {}}
     for key in vertices:
-        targets = set()
+        targets: dict[bool, set] = {False: set(), True: set()}
         for u, v in splits_by_slicing(key):
-            if _less_than_reversal(u, alt) != _less_than_reversal(v, alt):
-                targets.add(vertex(u[::-1] + v))
-        edges[key] = tuple(sorted(targets))
-    return vertices, edges
+            apart = [
+                alt for alt in (False, True)
+                if _less_than_reversal(u, alt) != _less_than_reversal(v, alt)
+            ]
+            if apart:
+                moved = vertex(u[::-1] + v)
+                for alt in apart:
+                    targets[alt].add(moved)
+        for alt, found in targets.items():
+            edges[alt][key] = tuple(sorted(found))
+    return {alt: (vertices, edges[alt]) for alt in (False, True)}
 
 
 def classes_by_sweep(k: int, n: int) -> dict[tuple, set[tuple]]:
