@@ -228,11 +228,11 @@ def cmd_construct(args) -> int:
 def cmd_graph(args) -> int:
     vector = _vector_input(args)
     graph = build_exchange_graph(vector, args.kind)
-    vertex_names = [str(v) for v in graph.vertices]
-    edges = {str(v): [str(t) for t in graph.successors(v)] for v in graph.vertices}
+    name = {v: str(v) for v in graph.vertices}  # str() of a word is slow
+    edges = {name[v]: [name[t] for t in graph.successors(v)] for v in graph.vertices}
     if args.dot:
         out = [f'digraph exchange_{args.kind.value} {{']
-        for v in vertex_names:
+        for v in name.values():
             out.append(f'  "{v}";')
         for v, targets in edges.items():
             for t in targets:
@@ -244,15 +244,15 @@ def cmd_graph(args) -> int:
         "vector": list(vector.counts),
         "alphabet": list(vector.alphabet.symbols),
         "kind": args.kind.value,
-        "vertices": vertex_names,
+        "vertices": list(name.values()),
         "edges": edges,
-        "sources": [str(v) for v in graph.sources()],
-        "sinks": [str(v) for v in graph.sinks()],
+        "sources": [name[v] for v in graph.sources()],
+        "sinks": [name[v] for v in graph.sinks()],
         "acyclic": graph.is_acyclic(),
         "edge_count": sum(len(t) for t in edges.values()),
     }
     lines = [
-        f"{len(vertex_names)} vertices, {payload['edge_count']} edges, "
+        f"{len(name)} vertices, {payload['edge_count']} edges, "
         f"acyclic {str(payload['acyclic']).lower()}",
         "sources " + " ".join(payload["sources"]),
         "sinks " + " ".join(payload["sinks"]),

@@ -21,11 +21,13 @@ respectively.  ``search`` reaches it by an exchange walk: from the sorted
 word it applies one improving exchange at a time (across alternating
 synchronizing, alternating non-synchronizing and plain synchronizing cuts)
 until none is left, so the end word is in the class that certifies it.
-Semi-regular max, whose maxima lie in S but may tie, is found by scoring
-the class inside one enumeration walk that skips every prefix with a
-short plain non-synchronizing cut (a part of 2 or 3 letters, the other
-part's end letters distinct): exchanging across it would raise the
-value, so no maximum has one, and four letters of the prefix decide it.
+Semi-regular max, whose maxima lie in S but may tie, is found by the
+class's enumeration walk, told to skip every prefix with a short plain
+non-synchronizing cut (a part of 2 or 3 letters, the other part's end
+letters distinct): exchanging across it would raise the value, so no
+maximum has one, and four letters of the prefix decide it.  Each word
+the walk yields is scored by ``continuants._cyclic``, as the walked
+problems' end words are.
 
 Classification, the walk and the graph's edges read their cuts from one
 outside-in mismatch table, ``words._cut_rows``, in O(n^2) time per word.
@@ -79,7 +81,7 @@ class SearchReport:
     """Optima of the cyclic continuant over a cyclic Abelian class.
 
     The report is the one an exhaustive search gives, whether ``search``
-    walked to the optimum or scored the whole class: every optimizer in
+    walked to the optimum or scored the pruned class: every optimizer in
     lexicographic order of canonical representatives, its membership
     certificate, and the class size.
     """
@@ -163,12 +165,13 @@ def reversal_class_representative(omega: CyclicWord) -> CyclicWord:
 # prenecklaces per necklace.  The prune leaves 6-320 units per member
 # on the highest-charged admitted classes of total 16 or less, 14,14 and
 # 12,12,1, but cuts little where the least letter is frequent: pinned to
-# one CPU, 519,1,1, 145,1,1,1 and 60,1,1,1,1 take 8.1, 14.2 and 17.0 s,
-# against 7.1, 12.9 and 18.8 s without it.  A graph member costs
-# 130-255 n^3 units through the CLI at 9-16 letters, 30-105 n^3 at 19-43
-# and 12-37 n^3 at 66-281, against 147-252, 62-126 and 20-45 n^3 charged
-# by 12 n^2 (n + 180).  The slowest admitted classes found take 17-26 s
-# (search, 60,1,1,1,1) and 58 s (graph, 7,2,2,2,1).
+# one CPU through the CLI, 519,1,1, 145,1,1,1 and 60,1,1,1,1 take 11.1,
+# 20.4-21.9 and 25.8-26.3 s (the host's speed drifts by up to a factor
+# of two between hours).  A graph member costs 130-255 n^3 units through
+# the CLI at 9-16 letters, 30-105 n^3 at 19-43 and 12-37 n^3 at 66-281,
+# against 147-252, 62-126 and 20-45 n^3 charged by 12 n^2 (n + 180).
+# The slowest admitted classes found take up to 26 s (search,
+# 60,1,1,1,1) and 58 s (graph, 7,2,2,2,1).
 WORK_CAP = 75_000_000_000
 
 
@@ -252,16 +255,18 @@ def search(
     Regular max, regular min and semi-regular min are answered by the
     exchange walk, without enumerating the class: the optima are its end
     word and that word's reversal.  The walk raises DomainError past
-    WORK_CAP of work or CUT_TABLE_CAP letters.  Semi-regular max scores
-    the class inside one enumeration walk, in lexicographic order of
-    canonical representatives, and skips every member with a short plain
-    non-synchronizing cut (``words._necklace_walk``, ``prune_apart``): an
-    exchange across such a cut strictly raises the value, so every
-    maximum and every tie is still scored.  Only the running maximum and
-    its ties are kept, so memory does not grow with the class.  It raises
-    DomainError at once when the class size times the cost per member
-    passes WORK_CAP.  The cost was fitted to the unpruned walk; the skips
-    remove nodes from it and add O(1) work to each node left.
+    WORK_CAP of work or CUT_TABLE_CAP letters.  Semi-regular max walks
+    the class in lexicographic order of canonical representatives,
+    skipping every member with a short plain non-synchronizing cut
+    (``words._necklace_walk``, ``prune_apart``), and scores each member
+    the walk yields with ``continuants._cyclic``: an exchange across such
+    a cut strictly raises the value, so every maximum and every tie is
+    still scored.  Only the running maximum and its ties are kept, so
+    memory does not grow with the class.  It raises DomainError at once
+    when the class size times the cost per member passes WORK_CAP.  The
+    cost was fitted to the unpruned walk; the skips only remove nodes,
+    and scoring a yielded word takes O(n) steps against a charge of
+    n^2 (n + 9).
     A one-letter class {x} has the value x + 1 (regular) or x - 1
     (semi-regular).
     """
@@ -279,10 +284,9 @@ def search(
     improving = _IMPROVING.get((valuation, direction))
     if improving is None:  # semi-regular max
         size = _class_size(vector, _search_cost(vector.total))
-        walk = _necklace_walk(vector.counts, vals, sign, prune_apart=True)
-        t, best = next(walk)
-        arg = [t]
-        for t, v in walk:
+        best, arg = 0, []  # every semi-regular cyclic value is positive
+        for t in _necklace_walk(vector.counts, prune_apart=True):
+            v = _cyclic([vals[i] for i in t], sign)
             if v >= best:
                 if v > best:
                     best, arg = v, [t]
@@ -375,8 +379,8 @@ def build_exchange_graph(
         raise ValueError("cannot build the graph of the zero vector")
     _class_size(vector, _graph_cost(vector.total))
     alphabet = vector.alphabet
-    walk = _necklace_walk(vector.counts, (0,) * len(alphabet), 0)
-    key_of = {t: t for t, _ in walk}  # necklace -> itself, then -> vertex key
+    # necklace -> itself, then -> vertex key
+    key_of = {t: t for t in _necklace_walk(vector.counts)}
     low = next(i for i, c in enumerate(vector.counts) if c)
     # Every word canonicalised below is a rotation of a necklace of the class.
     keys = [min(t, _at_rotation(key_of, t[::-1], low)) for t in key_of]

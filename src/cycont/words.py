@@ -25,10 +25,10 @@ not under each order, is read from one table, ``_cut_rows``.
 Cyclic Abelian classes (all cyclic words with a given Parikh vector) are
 enumerated by one FKM-style fixed-content necklace walk, yielding each
 class member exactly once in lexicographic order of canonical
-representatives.  The walk also carries the cyclic continuant of each
-member down the tree, so extremal search scores the class as it goes;
-for the semi-regular maximum it also skips every prefix with a short
-plain non-synchronizing cut, which no maximum has.
+representatives.  The walk only enumerates; for the semi-regular
+maximum it also skips every prefix with a short plain
+non-synchronizing cut, which no maximum has, and extremal search
+scores the words it yields.
 """
 
 from __future__ import annotations
@@ -439,24 +439,14 @@ def split_points(omega: CyclicWord) -> Iterator[tuple[LinearWord, LinearWord]]:
 # -- cyclic Abelian class enumeration -----------------------------------------
 
 def _necklace_walk(
-    counts: Sequence[int],
-    values: Sequence[int],
-    sign: int,
-    prune_apart: bool = False,
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Necklaces with fixed content, in lexicographic order, with their traces.
+    counts: Sequence[int], prune_apart: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """Necklaces with fixed content, in lexicographic order.
 
     FKM-style prenecklace walk with remaining-count pruning, run in one
     frame over explicit per-depth stacks; a full word is emitted when its
-    length is a multiple of its last period.  Each necklace x1..xn comes
-    with the trace of the product of [[values[xi], sign], [1, 0]], carried
-    down the walk as two continuant recurrences, O(1) work per node:
-
-        P[t] = K(x1..xt),  R[t] = K(x2..xt),  trace = P[n] + sign * R[n-1]
-
-    Each value is the cyclic continuant (sign +1 regular, -1 semi-regular):
-    the trace for n >= 2, x1 + sign for n == 1.  Callers that only need
-    the necklaces pass zero values and sign 0.
+    length is a multiple of its last period.  The walk only enumerates:
+    callers that need a value score the yielded words themselves.
 
     With ``prune_apart``, the walk skips every necklace that has a short
     apart cut: a plain non-synchronizing cut into u, of 2 or 3 letters,
@@ -480,18 +470,11 @@ def _necklace_walk(
     rem = list(counts)
     first = next(i for i, c in enumerate(counts) if c)
     rem[first] -= 1
-    x1 = values[first]
-    if n == 1:
-        yield (first,), x1 + sign
-        return
-    if n == 2:
-        last = rem.index(1)
-        yield (first, last), x1 * values[last] + 2 * sign
+    if n <= 2:  # the walk below starts at depth 2 and forces depth n
+        yield (first,) + tuple(i for i, c in enumerate(rem) if c)
         return
 
     a = [first] * (n + 1)  # a[t]: letter at depth t (1-indexed)
-    P = [1, x1] + [0] * (n - 1)
-    R = [0, 1] + [0] * (n - 1)
     per = [1] * (n + 1)  # period of the prenecklace a[1..t-1]
     lo = [first] * (n + 1)  # least admissible letter at depth t
     nxt = [first] * (n + 1)  # next letter to try at depth t
@@ -509,7 +492,6 @@ def _necklace_walk(
             continue
         nxt[t] = j + 1
         a[t] = j
-        v = values[j]
         p = per[t] if j == lo[t] else t
         if t == m:
             rem[j] -= 1
@@ -523,14 +505,9 @@ def _necklace_walk(
             if n % p == 0:
                 a[n] = last
                 w = tuple(a[1:])
-                if prune_apart and _apart_at_the_end(w):
-                    continue
-                pm = v * P[t - 1] + sign * P[t - 2]
-                rm = v * R[t - 1] + sign * R[t - 2]
-                yield w, values[last] * pm + sign * (P[t - 1] + rm)
+                if not (prune_apart and _apart_at_the_end(w)):
+                    yield w
             continue
-        P[t] = v * P[t - 1] + sign * P[t - 2]
-        R[t] = v * R[t - 1] + sign * R[t - 2]
         rem[j] -= 1
         t += 1
         per[t] = p
@@ -578,8 +555,7 @@ def enumerate_class(vector: ParikhVector) -> Iterator[CyclicWord]:
     if vector.total < 1:
         raise ValueError("cannot enumerate the class of the zero vector")
     alphabet = vector.alphabet
-    zeros = (0,) * len(alphabet)
-    for t, _ in _necklace_walk(vector.counts, zeros, 0):
+    for t in _necklace_walk(vector.counts):
         yield _known_necklace(alphabet, t)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cycont import extremal, words
 from cycont.continuants import (
+    _LEAF,
     DomainError,
     cyclic_regular,
     cyclic_semiregular,
@@ -34,6 +35,7 @@ from cycont.words import (
 from cycont.singular import construct_singular, is_singular
 
 from oracles import (
+    _arrangements,
     check_lintocirc,
     classes_by_sweep,
     classify_by_cuts,
@@ -342,6 +344,24 @@ class TestSearch:
                         assert [w.indices for w in report.optima] == expect, key
                         assert report.class_size == necklace_count(counts), key
                         assert report.class_size == len(members), key
+
+    @pytest.mark.parametrize("counts", [(70, 1, 1), (1, 70, 1)])
+    def test_semiregular_maximum_past_the_product_leaf(self, counts):
+        """Words longer than ``continuants._LEAF`` are scored by the halved
+        product: the value, the ordered optima, the certificates and the
+        class size agree with every member scored by matrix products."""
+        assert sum(counts) > _LEAF
+        values = (2, 5, 11)
+        members = {naive_canonical(w) for w in _arrangements(counts)}
+        scored = {t: _cyclic_value(t, values, -1) for t in members}
+        best = max(scored.values())
+        expect = sorted(t for t, v in scored.items() if v == best)
+        report = search(alphabet_of_size(3, values=values).vector(counts),
+                        valuation="semiregular", direction="max")
+        assert report.value == best
+        assert [w.indices for w in report.optima] == expect
+        assert report.certificates == tuple(classify_by_cuts(t) for t in expect)
+        assert report.class_size == len(members)
 
     def test_one_letter_convention(self):
         """A lone letter x scores x + 1 (regular) and x - 1 (semi-regular),

@@ -359,27 +359,25 @@ def _short_apart_cut(t: tuple) -> bool:
 
 class TestPruneApart:
     """The walk with ``prune_apart`` yields exactly the necklaces without a
-    short apart cut, in order, with the same traces."""
+    short apart cut, in order."""
 
     @pytest.mark.parametrize("letters,max_total", [(1, 6), (2, 12), (3, 9), (4, 8)])
     def test_yields_the_members_without_a_short_apart_cut(self, letters, max_total):
-        values = (2, 3, 5, 8)[:letters]
         for n in range(1, max_total + 1):
             sweep = classes_by_sweep(letters, n)
             for counts in nonnegative_compositions(n, letters):
                 expect = sorted(
                     t for t in sweep.get(counts, ()) if not _short_apart_cut(t)
                 )
-                got = list(_necklace_walk(counts, values, -1, prune_apart=True))
-                assert [t for t, _ in got] == expect, counts
-                assert set(got) <= set(_necklace_walk(counts, values, -1)), counts
+                got = list(_necklace_walk(counts, prune_apart=True))
+                assert got == expect, counts
 
     def test_yield_on_4444(self):
         """2,425 of the 3,941,598 members of 4,4,4,4 survive, the count a
         brute-force check of every member's cyclic windows of four and
         five letters gives; that sweep takes half a minute, so only the
         survivors are checked against the oracle here."""
-        got = [t for t, _ in _necklace_walk((4, 4, 4, 4), (0,) * 4, 0, True)]
+        got = list(_necklace_walk((4, 4, 4, 4), prune_apart=True))
         assert len(got) == 2_425
         assert got == sorted(set(got))
         assert not any(_short_apart_cut(t) for t in got)
