@@ -3,9 +3,10 @@
 Evaluation of regular and semi-regular continuants and their cyclic
 analogues, the plain and alternating comparison orders with their prefix
 conventions, extremal search over cyclic Abelian classes with
-class-membership certificates (an exchange walk for the three problems
-with one optimum up to reversal, scoring the class, less every word with a
-short plain non-synchronizing cut, for the semi-regular maximum),
+class-membership certificates (a certified construction for the three
+problems with one optimum up to reversal, scoring the class, less every
+word with a short plain non-synchronizing cut, for the semi-regular
+maximum),
 exchange graphs, and construction of singular cyclic words through
 insertion maps.
 """

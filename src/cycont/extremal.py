@@ -17,28 +17,32 @@ cut undoes such a move, so its sign is the opposite one.
 
 Regular max, regular min and semi-regular min each have one optimum up to
 reversal, whatever the values, and it lies in U_alt, S_alt and U
-respectively.  ``search`` reaches it by an exchange walk: from the sorted
-word it applies one improving exchange at a time (across alternating
-synchronizing, alternating non-synchronizing and plain synchronizing cuts)
-until none is left, so the end word is in the class that certifies it.
+respectively.  ``search`` builds it from the sorted word (``_unimodal``,
+``_zigzag`` and ``_fold``) and checks the certificate it reports: a word
+in that class has no exchange that improves the value, and on every class
+tested only the optimum and its reversal are in it
+(``tests/test_extremal.py``).  A built word without its certificate is an
+error, never an answer.
 Semi-regular max, whose maxima lie in S but may tie, is found by the
 class's enumeration walk, told to skip every prefix with a short plain
 non-synchronizing cut (a part of 2 or 3 letters, the other part's end
 letters distinct): exchanging across it would raise the value, so no
 maximum has one, and four letters of the prefix decide it.  Each word
-the walk yields is scored by ``continuants._cyclic``, as the walked
-problems' end words are.
+the walk yields is scored by ``continuants._cyclic``, as the built
+optima are.
 
-Classification, the walk and the graph's edges read their cuts from one
-outside-in mismatch table, ``words._cut_rows``, in O(n^2) time per word.
-One cap, ``WORK_CAP``, bounds the walk and the two enumerating paths.
+Classification and the graph's edges read their cuts from one
+outside-in mismatch table, ``words._cut_rows``, in O(n^2) time per word,
+so a word past ``CUT_TABLE_CAP`` letters is refused before any is built.
+One cap, ``WORK_CAP``, bounds the two enumerating paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Literal, Mapping, Sequence
+from itertools import groupby
+from typing import Literal, Mapping, Sequence
 
 from .continuants import DomainError, _cyclic, resolve_values
 from .words import (
@@ -81,7 +85,7 @@ class SearchReport:
     """Optima of the cyclic continuant over a cyclic Abelian class.
 
     The report is the one an exhaustive search gives, whether ``search``
-    walked to the optimum or scored the pruned class: every optimizer in
+    built the optimum or scored the pruned class: every optimizer in
     lexicographic order of canonical representatives, its membership
     certificate, and the class size.
     """
@@ -109,14 +113,19 @@ def is_synchronizing(
     return (cmp(a, a[::-1]) < 0) == (cmp(b, b[::-1]) < 0)
 
 
+def _within_cut_table_cap(n: int) -> None:
+    """Raise DomainError if a word of n letters is longer than CUT_TABLE_CAP."""
+    if n > CUT_TABLE_CAP:
+        raise DomainError(
+            f"word of {n} letters exceeds the cut-table cap ({CUT_TABLE_CAP})"
+        )
+
+
 def classify(omega: CyclicWord) -> ClassMembership:
     """Membership in S, S_alt, U, U_alt; vacuously all true if no split exists.
 
     Raises DomainError on a word longer than CUT_TABLE_CAP."""
-    if len(omega) > CUT_TABLE_CAP:
-        raise DomainError(
-            f"word of {len(omega)} letters exceeds the cut-table cap ({CUT_TABLE_CAP})"
-        )
+    _within_cut_table_cap(len(omega))
     in_s = in_s_alt = in_u = in_u_alt = True
     for _, cuts, plain, alt in _cut_rows(omega.indices):
         in_s = in_s and not plain
@@ -154,12 +163,11 @@ def reversal_class_representative(omega: CyclicWord) -> CyclicWord:
 # -- extremal search ------------------------------------------------------------
 
 # The one work cap, in units of about 0.8 ns on a 2-vCPU Xeon: about a
-# minute.  A walk step builds one cut table of about n rows, and a row
-# takes about n + 4096 units, the 4096 standing for the interpreter's fixed
-# cost per row; so a step is charged n * (n + 4096).  Regular min of
-# 450,450,450,450 finishes in 52 s through the CLI, and 500,500,500,500 is
-# refused after 48 s.  The two enumerating paths are charged, before they
-# start, the class size times a cost per member fitted to full classes.
+# minute.  It bounds the two enumerating paths; the three built optima
+# are bounded by CUT_TABLE_CAP alone, since building one is linear and
+# certifying it is one O(n^2) cut table per optimum.  The two enumerating
+# paths are charged, before they start, the class size times a cost per
+# member fitted to full classes.
 # Scoring a member without the prune cost 3,200-4,300 units at 12-14
 # letters and about 110 n^2 on n,1,1, whose walk visits about n^2 / 2
 # prenecklaces per necklace.  The prune leaves 6-320 units per member
@@ -200,46 +208,39 @@ def _class_size(vector: ParikhVector, per_member: int) -> int:
     return size
 
 
-# Cuts whose exchange improves the value, from (cuts, plain, alt) of a
-# cut-table row: alternating synchronizing, alternating non-synchronizing
-# and plain synchronizing cuts.  A walk ends in U_alt, S_alt and U.
-_IMPROVING = {
-    ("regular", "max"): lambda cuts, plain, alt: cuts & ~alt,
-    ("regular", "min"): lambda cuts, plain, alt: alt,
-    ("semiregular", "min"): lambda cuts, plain, alt: cuts & ~plain,
+def _fold(s: tuple[int, ...]) -> tuple[int, ...]:
+    """Semi-regular min: the even places of s rising, then the odd falling."""
+    return s[0::2] + s[1::2][::-1]
+
+
+def _unimodal(s: tuple[int, ...]) -> tuple[int, ...]:
+    """Regular max: the least letter's block, then each inner letter in
+    increasing order sends one copy up and the rest down, the next the
+    reverse, and so on; the greatest letter's block is the peak."""
+    runs = [tuple(run) for _, run in groupby(s)]
+    rise, fall = runs[0], ()
+    for k, run in enumerate(runs[1:-1]):
+        cut = 1 if k % 2 == 0 else len(run) - 1
+        rise, fall = rise + run[:cut], run[cut:] + fall
+    return rise + (runs[-1] if len(runs) > 1 else ()) + fall
+
+
+def _zigzag(s: tuple[int, ...]) -> tuple[int, ...]:
+    """Regular min: from place 0 of s, places n-1, 1, n-3, 3, ... one way
+    round and n-2, 2, n-4, 4, ... the other."""
+    n = len(s)
+    one = [s[n - 1 - j] if j % 2 == 0 else s[j] for j in range(n // 2)]
+    other = [s[n - 2 - j] if j % 2 == 0 else s[j + 1] for j in range(n - 1 - n // 2)]
+    return s[:1] + tuple(one + other[::-1])
+
+
+# The builder of each problem with one optimum up to reversal, and the
+# class flag that certifies its word.
+_OPTIMUM = {
+    ("regular", "max"): (_unimodal, "in_U_alt"),
+    ("regular", "min"): (_zigzag, "in_S_alt"),
+    ("semiregular", "min"): (_fold, "in_U"),
 }
-
-
-def _exchange_walk(
-    counts: Sequence[int], improving: Callable[[int, int, int], int]
-) -> tuple[int, ...]:
-    """Necklace at the end of the improving exchange walk from the sorted word.
-
-    Each step exchanges the cut at the lowest start of the first cut length
-    whose improving set is non-empty, and canonicalises the moved word.
-    The walk ends when no improving cut is left.  It raises DomainError on
-    a word longer than CUT_TABLE_CAP, or once its work passes WORK_CAP.
-    """
-    n = sum(counts)
-    if n > CUT_TABLE_CAP:
-        raise DomainError(
-            f"class of total {n} exceeds the cut-table cap ({CUT_TABLE_CAP})"
-        )
-    step = n * (n + 4096)
-    work = step
-    t = tuple(i for i, c in enumerate(counts) for _ in range(c))
-    while work <= WORK_CAP:
-        for m, cuts, plain, alt in _cut_rows(t):
-            moves = improving(cuts, plain, alt)
-            if moves:  # exchange rotation s at m
-                s = (moves & -moves).bit_length() - 1
-                r = t[s:] + t[:s]
-                t = _least_rotation(r[m - 1 :: -1] + r[m:])
-                break
-        else:
-            return t
-        work += step
-    raise DomainError(f"exchange walk exceeds the work cap ({WORK_CAP})")
 
 
 def search(
@@ -252,10 +253,12 @@ def search(
 
     Returns every optimizer (ties are reported, never broken), each with its
     full membership certificate; ``class_size`` is the cycle-index count.
-    Regular max, regular min and semi-regular min are answered by the
-    exchange walk, without enumerating the class: the optima are its end
-    word and that word's reversal.  The walk raises DomainError past
-    WORK_CAP of work or CUT_TABLE_CAP letters.  Semi-regular max walks
+    Regular max, regular min and semi-regular min are answered without
+    enumerating the class: the optima are the word built for the problem
+    (``_OPTIMUM``) and its reversal, each checked to carry the class flag
+    that certifies it; a built word without it raises RuntimeError.  These
+    raise DomainError past CUT_TABLE_CAP letters, before building anything,
+    and are not charged against WORK_CAP.  Semi-regular max walks
     the class in lexicographic order of canonical representatives,
     skipping every member with a short plain non-synchronizing cut
     (``words._necklace_walk``, ``prune_apart``), and scores each member
@@ -281,8 +284,8 @@ def search(
         )
     sign = 1 if valuation == "regular" else -1
 
-    improving = _IMPROVING.get((valuation, direction))
-    if improving is None:  # semi-regular max
+    optimum = _OPTIMUM.get((valuation, direction))
+    if optimum is None:  # semi-regular max
         size = _class_size(vector, _search_cost(vector.total))
         best, arg = 0, []  # every semi-regular cyclic value is positive
         for t in _necklace_walk(vector.counts, prune_apart=True):
@@ -293,7 +296,9 @@ def search(
                 else:
                     arg.append(t)
     else:
-        end = _exchange_walk(vector.counts, improving)
+        _within_cut_table_cap(vector.total)  # before building the word
+        s = tuple(i for i, c in enumerate(vector.counts) for _ in range(c))
+        end = _least_rotation(optimum[0](s))
         arg = sorted({end, _least_rotation(end[::-1])})
         best = _cyclic([vals[i] for i in end], sign)
         size = necklace_count(vector)
@@ -301,6 +306,8 @@ def search(
     alphabet = vector.alphabet
     optima = tuple(_known_necklace(alphabet, t) for t in arg)
     certificates = tuple(classify(w) for w in optima)
+    if optimum and not all(getattr(c, optimum[1]) for c in certificates):
+        raise RuntimeError(f"built optimum {optima[0]} is not {optimum[1]}")
     unique = len(optima) == 1 or (
         len(optima) == 2 and optima[0].reverse() == optima[1]
     )

@@ -350,7 +350,8 @@ def _known_necklace(alphabet: OrderedAlphabet, t: tuple[int, ...]) -> CyclicWord
 
 # -- factorizations -----------------------------------------------------------
 
-# Longest word whose cut table ``classify`` and the exchange walk build.
+# Longest word whose cut table ``classify`` builds, and so the longest
+# optimum ``search`` builds and certifies.
 # The table keeps up to n/2 rows of 3n bits, so memory grows as
 # n^2: classify of a constructed singular word (no early exit) peaked at
 # 80 MB of process RSS at 18k letters, 267 MB at 36k and 1,014 MB at 72k.

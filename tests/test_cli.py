@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from cycont import extremal
 from cycont.cli import main
 from cycont.continuants import cyclic_regular
 from cycont.extremal import WORK_CAP
@@ -199,15 +198,36 @@ class TestSearch:
         assert code == 0
         assert payload["class_size"] == 29331862560
 
-    def test_walk_past_its_work_cap_exits_two(self, capsys, monkeypatch):
-        monkeypatch.setattr(extremal, "WORK_CAP", 10**6)
-        code, out, err = run(
-            capsys, "search", "--vector", "20,20,20,20", "--values", "1,2,3,4",
-            "--regular", "--min",
+    def test_regular_min_of_two_thousand_letters(self, capsys):
+        """2,000 letters: built, certified and evaluated within two seconds."""
+        start = time.perf_counter()
+        code, payload, _ = run_json(
+            capsys, "search", "--vector", "500,500,500,500", "--values",
+            "2,3,4,5", "--regular", "--min",
         )
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert payload["unique_up_to_reversal"] is True
+        assert all(o["in_S_alt"] for o in payload["optima"])
+        alphabet = alphabet_of_size(4, values=(2, 3, 4, 5))
+        word = alphabet.cyclic(payload["optima"][0]["word"])
+        assert cyclic_regular(word) == payload["value"]
+
+    @pytest.mark.parametrize("valuation,direction", [
+        ("regular", "max"), ("regular", "min"), ("semiregular", "min"),
+    ])
+    def test_one_letter_past_the_cut_table_cap_exits_two(
+        self, capsys, valuation, direction
+    ):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "search", "--vector", "10001,10000,10000,10000", "--values",
+            "2,3,4,5", f"--{valuation}", f"--{direction}",
+        )
+        assert time.perf_counter() - start < 1
         assert code == 2
         assert out == ""
-        assert "work cap (1000000)" in err
+        assert "cut-table cap" in err
 
     def test_walk_refuses_a_trillion_letters_at_once(self, capsys):
         start = time.perf_counter()

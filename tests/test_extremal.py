@@ -393,12 +393,12 @@ class TestSearch:
         assert peak < 512 * 1024
 
 
-# The three problems the exchange walk answers, and the class flag that
-# certifies each optimum.
-WALKED = (("regular", "max", "in_U_alt"), ("regular", "min", "in_S_alt"),
-          ("semiregular", "min", "in_U"))
+# The three problems with one optimum up to reversal, which ``search``
+# builds, and the class flag that certifies each optimum.
+CONSTRUCTED = (("regular", "max", "in_U_alt"), ("regular", "min", "in_S_alt"),
+               ("semiregular", "min", "in_U"))
 # Value sets: with the value 1, consecutive, and widely spaced.
-WALK_VALUES = {
+SEARCH_VALUES = {
     "regular": ((1, 2, 3, 5), (2, 7, 20, 61), (1, 10, 100, 1000)),
     "semiregular": ((2, 3, 4, 5), (2, 5, 11, 30), (3, 10, 50, 200)),
 }
@@ -421,10 +421,10 @@ def classes_to_ten():
     }
 
 
-class TestExchangeWalk:
-    """The walk answers regular max, regular min and semi-regular min, and
-    the pruned enumeration semi-regular max, with the report an exhaustive
-    search gives."""
+class TestSearchOptima:
+    """The constructions answer regular max, regular min and semi-regular
+    min, and the pruned enumeration semi-regular max, with the report an
+    exhaustive search gives."""
 
     @pytest.mark.parametrize("pick", range(3))
     def test_matches_the_scored_class(self, classes_to_ten, pick):
@@ -433,7 +433,7 @@ class TestExchangeWalk:
         class size, against every member scored by matrix products.  Only
         the semi-regular maximum may tie."""
         for valuation in ("regular", "semiregular"):
-            values = WALK_VALUES[valuation][pick]
+            values = SEARCH_VALUES[valuation][pick]
             alphabet = alphabet_of_size(4, values=values)
             sign = 1 if valuation == "regular" else -1
             for counts, members in classes_to_ten.items():
@@ -463,10 +463,10 @@ class TestExchangeWalk:
         lambda c: 20 <= sum(c) <= 60))
     def test_end_word_is_in_the_certifying_class(self, counts):
         """At 20-60 letters, each optimum has the vector's content, the
-        reported value, and the class flag that no improving cut leaves."""
+        reported value, and the class flag that certifies it."""
         values = (2, 3, 5, 8)[: len(counts)]
         alphabet = alphabet_of_size(len(counts), values=values)
-        for valuation, direction, flag in WALKED:
+        for valuation, direction, flag in CONSTRUCTED:
             sign = 1 if valuation == "regular" else -1
             report = search(alphabet.vector(counts), valuation=valuation,
                             direction=direction)
@@ -476,22 +476,41 @@ class TestExchangeWalk:
             assert _cyclic_value(t, values, sign) == report.value
             assert getattr(classify_by_cuts(t), flag), (counts, valuation)
 
-    def test_work_cap_counts_one_table_per_step(self, abcd, monkeypatch):
-        """aabb is already the regular maximum; its minimum abab is one
-        exchange away.  Each table of 4 letters costs 4 * (4 + 4096)."""
-        table = 4 * (4 + 4096)
-        vector = alphabet_of_size(2, values=(2, 3)).vector((2, 2))
-        monkeypatch.setattr(extremal, "WORK_CAP", table)
-        assert [str(w) for w in search(vector, valuation="regular",
-                                       direction="max").optima] == ["aabb"]
-        with pytest.raises(DomainError, match="work cap"):
-            search(vector, valuation="regular", direction="min")
-        monkeypatch.setattr(extremal, "WORK_CAP", 2 * table)
-        assert [str(w) for w in search(vector, valuation="regular",
-                                       direction="min").optima] == ["abab"]
-        monkeypatch.setattr(extremal, "WORK_CAP", table - 1)
-        with pytest.raises(DomainError, match="work cap"):
-            search(vector, valuation="regular", direction="max")
+    def test_certified_members_are_the_constructions(self):
+        """The theorem the constructed answers rest on: on every vector of
+        2-4 letters with counts 0..4 and total <= 11, the members in U,
+        U_alt and S_alt are exactly the fold, the unimodal word and the
+        zigzag, each with its reversal."""
+        checked = 0
+        for k in range(2, 5):
+            alphabet = alphabet_of_size(k)
+            for counts in product(range(5), repeat=k):
+                if not 1 <= sum(counts) <= 11:
+                    continue
+                members = [(w.indices, classify(w))
+                           for w in enumerate_class(alphabet.vector(counts))]
+                s = tuple(i for i, c in enumerate(counts) for _ in range(c))
+                for valuation, direction, flag in CONSTRUCTED:
+                    t = extremal._OPTIMUM[valuation, direction][0](s)
+                    expect = {naive_canonical(t), naive_canonical(t[::-1])}
+                    got = {u for u, m in members if getattr(m, flag)}
+                    assert got == expect, (counts, flag)
+                checked += 1
+        assert checked == 701
+
+    @pytest.mark.parametrize("valuation,direction,flag", CONSTRUCTED)
+    def test_an_uncertified_construction_raises(
+        self, monkeypatch, valuation, direction, flag
+    ):
+        """A builder that returns the sorted word, which is not certified
+        here, makes ``search`` raise instead of answering."""
+        vector = _vector((2, 2, 2))
+        assert not getattr(classify(vector.alphabet.cyclic("aabbcc")), flag)
+        monkeypatch.setitem(
+            extremal._OPTIMUM, (valuation, direction), (lambda s: s, flag)
+        )
+        with pytest.raises(RuntimeError, match=f"is not {flag}"):
+            search(vector, (2, 3, 4), valuation, direction)
 
     def test_refuses_a_trillion_letters_at_once(self, ab):
         start = time.perf_counter()
@@ -554,9 +573,10 @@ class TestWorkCap:
             build_exchange_graph(_vector((2, 2, 2)))
 
     def test_walked_problems_are_not_charged_for_the_class(self, monkeypatch):
-        """Only the walk's steps count: one table of 4 letters at most."""
-        monkeypatch.setattr(extremal, "WORK_CAP", 2 * 4 * (4 + 4096))
-        for valuation, direction, _ in WALKED:
+        """The constructed problems enumerate nothing, so nothing is charged
+        against the work cap."""
+        monkeypatch.setattr(extremal, "WORK_CAP", 0)
+        for valuation, direction, _ in CONSTRUCTED:
             report = search(_vector((2, 2)), (2, 3), valuation, direction)
             assert report.class_size == 2
 
