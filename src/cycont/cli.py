@@ -119,6 +119,7 @@ _EVAL_KINDS = ("regular", "semiregular", "cyclic-regular", "cyclic-semiregular")
 
 def cmd_eval(args) -> int:
     word = _word_input(args)
+    omega = CyclicWord(word)
     alphabet = word.alphabet
     requested = [k for k in _EVAL_KINDS if getattr(args, k.replace("-", "_"))]
     if not requested:
@@ -128,13 +129,13 @@ def cmd_eval(args) -> int:
     evaluators = {
         "regular": lambda: continuant_regular(word),
         "semiregular": lambda: continuant_semiregular(word),
-        "cyclic-regular": lambda: cyclic_regular(CyclicWord(word)),
-        "cyclic-semiregular": lambda: cyclic_semiregular(CyclicWord(word)),
+        "cyclic-regular": lambda: cyclic_regular(omega),
+        "cyclic-semiregular": lambda: cyclic_semiregular(omega),
     }
     results = {kind: evaluators[kind]() for kind in requested}
     payload = {
         "word": str(word),
-        "representative": str(CyclicWord(word)),
+        "representative": str(omega),
         "alphabet": list(alphabet.symbols),
         "values": list(alphabet.values) if alphabet.values else None,
         "results": results,

@@ -255,8 +255,10 @@ def search(
     full membership certificate; ``class_size`` is the cycle-index count.
     Regular max, regular min and semi-regular min are answered without
     enumerating the class: the optima are the word built for the problem
-    (``_OPTIMUM``) and its reversal, each checked to carry the class flag
-    that certifies it; a built word without it raises RuntimeError.  These
+    (``_OPTIMUM``) and its reversal.  The built word is checked to carry
+    the class flag that certifies it, and a word without it raises
+    RuntimeError; its reversal shares its certificate, because ``classify``
+    is invariant under reversal.  These
     raise DomainError past CUT_TABLE_CAP letters, before building anything,
     and are not charged against WORK_CAP.  Semi-regular max walks
     the class in lexicographic order of canonical representatives,
@@ -305,9 +307,12 @@ def search(
 
     alphabet = vector.alphabet
     optima = tuple(_known_necklace(alphabet, t) for t in arg)
-    certificates = tuple(classify(w) for w in optima)
-    if optimum and not all(getattr(c, optimum[1]) for c in certificates):
-        raise RuntimeError(f"built optimum {optima[0]} is not {optimum[1]}")
+    if optimum is None:
+        certificates = tuple(classify(w) for w in optima)
+    else:  # a word and its reversal: classify is reversal-invariant
+        certificates = (classify(optima[0]),) * len(optima)
+        if not getattr(certificates[0], optimum[1]):
+            raise RuntimeError(f"built optimum {optima[0]} is not {optimum[1]}")
     unique = len(optima) == 1 or (
         len(optima) == 2 and optima[0].reverse() == optima[1]
     )

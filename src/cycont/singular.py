@@ -114,16 +114,24 @@ def _xi_linear(b: int, t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _from_first_other(b: int, t: tuple[int, ...]) -> tuple[int, ...]:
+    """The rotation of t that starts at its first letter other than b."""
+    r = next((i for i, s in enumerate(t) if s != b), 0)
+    return t[r:] + t[:r]
+
+
 def _xi_cyclic(b: int, t: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply xi_b through an arbitrary linear representative t."""
-    if all(s == b for s in t):
-        return t + (b,)
+    """Apply xi_b through any linear representative t.
+
+    From the rotation that starts at a letter other than b no run of b wraps
+    round the end, so only the pair across the end remains to be filled.
+    The empty t, the erased candidate for the one-letter word b, maps to
+    itself, so ``xi_preimage`` finds no preimage of b.
+    """
+    t = _from_first_other(b, t)
     y = _xi_linear(b, t)
-    first, last = t[0], t[-1]
-    if (first > b and last > b) or (first < b and last < b):
+    if t and ((t[0] > b and t[-1] > b) or (t[0] < b and t[-1] < b)):
         y = y + (b,)
-    elif first == b and last == b:
-        y = y[:-1]
     return y
 
 
@@ -155,55 +163,28 @@ def _erase_one_per_run(b: int, t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _in_xi_image(b: int, t: tuple[int, ...], cyclic: bool) -> bool:
-    n = len(t)
-    pairs = range(n) if cyclic else range(n - 1)
-    for i in pairs:
-        s, e = t[i], t[(i + 1) % n]
-        if (s > b and e > b) or (s < b and e < b):
-            return False
-    mids = range(n) if cyclic else range(1, n - 1)
-    for i in mids:
-        if t[i] != b:
-            continue
-        s, e = t[i - 1], t[(i + 1) % n]
-        if (s < b < e) or (s > b > e):
-            return False
-    if cyclic:
-        return t != (b,)
-    if t == (b,):
-        return False
-    if n >= 2 and t[0] == b and t[1] != b:
-        return False
-    if n >= 2 and t[-1] == b and t[-2] != b:
-        return False
-    return True
-
-
 def xi_preimage(
     b: str, w: LinearWord | CyclicWord
 ) -> LinearWord | CyclicWord | None:
     """The unique x with xi_b(x) = w, or None when w is not an image.
 
-    Image membership: no adjacent pair strictly on one side of b, no
-    ascending or descending triple through b, and (linear case only) no
-    lone b at the start, end, or as the whole word; cyclically only the
-    one-letter word b is excluded.  Inversion erases one b from each run.
+    xi_b is injective and erasing one b from each run undoes it, so the
+    only candidate is w with one b erased per run (for a cyclic word, from
+    the rotation that starts at its first letter other than b).  The
+    candidate is returned iff xi_b maps it back onto w.
     """
     alphabet = w.alphabet
     bi = alphabet.index(b)
     if isinstance(w, CyclicWord):
-        t = w.indices
-        if not _in_xi_image(bi, t, cyclic=True):
+        t = _from_first_other(bi, w.indices)
+        x = _erase_one_per_run(bi, t)
+        if _xi_cyclic(bi, x) != t:
             return None
-        if all(s == bi for s in t):
-            return CyclicWord(LinearWord(alphabet, t[:-1]))
-        r = next(i for i, s in enumerate(t) if s != bi)
-        rotated = t[r:] + t[:r]
-        return CyclicWord(LinearWord(alphabet, _erase_one_per_run(bi, rotated)))
-    if not _in_xi_image(bi, w.indices, cyclic=False):
+        return CyclicWord(LinearWord(alphabet, x))
+    x = _erase_one_per_run(bi, w.indices)
+    if _xi_linear(bi, x) != w.indices:
         return None
-    return LinearWord(alphabet, _erase_one_per_run(bi, w.indices))
+    return LinearWord(alphabet, x)
 
 
 # -- constructor ------------------------------------------------------------------

@@ -512,6 +512,24 @@ class TestSearchOptima:
         with pytest.raises(RuntimeError, match=f"is not {flag}"):
             search(vector, (2, 3, 4), valuation, direction)
 
+    @pytest.mark.parametrize("valuation,direction,flag", CONSTRUCTED)
+    def test_a_built_optimum_is_classified_once(
+        self, monkeypatch, valuation, direction, flag
+    ):
+        """The reversal shares the word's certificate, so one classify call
+        certifies both reported optima."""
+        calls = []
+
+        def counting(omega):
+            calls.append(omega)
+            return classify(omega)
+
+        monkeypatch.setattr(extremal, "classify", counting)
+        report = search(_vector((1, 1, 2, 1)), (2, 3, 4, 5), valuation, direction)
+        assert len(report.optima) == 2
+        assert len(calls) == 1
+        assert report.certificates == tuple(classify(w) for w in report.optima)
+
     def test_refuses_a_trillion_letters_at_once(self, ab):
         start = time.perf_counter()
         tracemalloc.start()

@@ -181,12 +181,16 @@ class TestXiPreimage:
                 for b in abc.symbols:
                     assert xi_preimage(b, xi_cyclic(b, omega)) == omega
 
-    def test_linear_round_trip_exhaustive(self, ab):
-        for n in range(0, 9):
-            for t in product(range(2), repeat=n):
-                x = LinearWord(ab, t)
-                for b in ab.symbols:
-                    assert xi_preimage(b, xi_linear(b, x)) == x
+    def test_linear_round_trip_exhaustive(self, ab, abc):
+        # Three letters give what two cannot: a letter pair on both sides
+        # of b, and rising or falling triples through b.
+        for alphabet, top in ((ab, 8), (abc, 6)):
+            k = len(alphabet)
+            for n in range(0, top + 1):
+                for t in product(range(k), repeat=n):
+                    x = LinearWord(alphabet, t)
+                    for b in alphabet.symbols:
+                        assert xi_preimage(b, xi_linear(b, x)) == x
 
     def test_preimage_hit_implies_image(self, abc):
         for n in range(1, 6):
