@@ -27,6 +27,25 @@ with that vector, if any, are only reachable by exhaustive search).  On
 success the output is the unique singular cyclic word with the requested
 vector, and it is a cyclic palindrome.
 
+The unwinding runs no Booth pass.  For a necklace t (t is its own least
+rotation) ``_xi_cyclic(b, t)`` returns a representative y of xi_b(t), and
+the least rotation of xi_b(t) is one fixed rotation of y
+(``_xi_necklace``):
+
+- b > t[0]: y itself.
+- b < t[0]: y with its last letter moved to the front.  Here b is below
+  every letter, so y = t0 b t1 b ... t(n-1) b.
+- b = t[0]: y with its last r + 1 letters moved to the front, r the length
+  of t's leading run of b.  Those letters are the image of that run, which
+  y puts at its end.  A word made only of b maps to y itself.
+
+Why it holds: the least rotation of y starts a run of y's least letter.
+Each such start is the image of a matching start in t, and xi_b keeps the
+order of words of equal length.  t begins at its least start, so the
+start of y that the rules above move to the front, the image of t's first
+letter, begins y's least rotation.  A test checks the rule against Booth's
+algorithm on every necklace over 2-5 letters up to lengths 14/9/7/6.
+
 One descent detail: when the remaining vector is a pair of equal counts
 n(e_x + e_y), both letters satisfy the descent inequality with opposite
 delta signs and either subtraction reaches a terminal single-letter vector;
@@ -42,11 +61,20 @@ from typing import Sequence
 
 from .continuants import DomainError
 from .extremal import SyncKind, classify
-from .words import CyclicWord, LinearWord, OrderedAlphabet, ParikhVector
+from .words import (
+    CyclicWord,
+    LinearWord,
+    OrderedAlphabet,
+    ParikhVector,
+    _known_necklace,
+)
 
 # Largest descent area (the sum of the chain's totals: the letters the
-# unwinding builds) construct_singular accepts.  Memory binds first: at the cap
-# the CLI peaks at 414 MB on 0,4000000 and takes 3.6 s on 1,2826 (2-vCPU Xeon).
+# unwinding builds) construct_singular accepts.  At the cap the CLI peaks at
+# 93 MB in 1.3-1.4 s on 0,4000000, and 1,2826 takes 1.8-2.0 s at 71 MB
+# (pinned to one CPU of a 2-vCPU Xeon).  Neither is near a limit.  Memory
+# would still bind first if the cap were raised: at about 0.45 us and 20
+# bytes per letter of area, a minute of unwinding would need about 2.5 GB.
 DESCENT_AREA_CAP = 4_000_000
 
 
@@ -135,6 +163,21 @@ def _xi_cyclic(b: int, t: tuple[int, ...]) -> tuple[int, ...]:
     return y
 
 
+def _xi_necklace(b: int, t: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of xi_b(t) for a necklace t, without Booth.
+
+    ``_xi_cyclic`` returns the image y from t itself, so only a fixed
+    rotation of y is needed (see the module docstring): none when b lies
+    above t's first letter, otherwise the last r + 1 letters move to the
+    front, r the length of t's leading run of b (0 when b < t[0]).
+    """
+    y = _xi_cyclic(b, t)
+    if b > t[0]:
+        return y
+    k = next((i for i, s in enumerate(t) if s != b), len(t)) + 1
+    return y[-k:] + y[:-k]
+
+
 def xi_linear(b: str, x: LinearWord) -> LinearWord:
     """Insert one b into each b-run and between same-side adjacent letters."""
     bi = x.alphabet.index(b)
@@ -144,7 +187,7 @@ def xi_linear(b: str, x: LinearWord) -> LinearWord:
 def xi_cyclic(b: str, omega: CyclicWord) -> CyclicWord:
     """Cyclic insertion map; the result class is representative-independent."""
     bi = omega.alphabet.index(b)
-    return CyclicWord(LinearWord(omega.alphabet, _xi_cyclic(bi, omega.indices)))
+    return _known_necklace(omega.alphabet, _xi_necklace(bi, omega.indices))
 
 
 def _erase_one_per_run(b: int, t: tuple[int, ...]) -> tuple[int, ...]:
@@ -200,7 +243,12 @@ class ConstructionStep:
 
 @dataclass(frozen=True)
 class ConstructionTrace:
-    """Full record of a constructor run, successful or not."""
+    """Full record of a constructor run, successful or not.
+
+    ``words`` runs from the seed to the outcome.  Each word is built as its
+    own least rotation, so it is canonical as it comes out of the unwinding;
+    no Booth pass runs on it.
+    """
 
     start: ParikhVector
     steps: tuple[ConstructionStep, ...]
@@ -236,6 +284,8 @@ def construct_singular(
     n_b >= |delta_b| until delta vanishes at the letter found; succeeds iff
     the terminal vector is a power of that letter, in which case the word
     is recovered by unwinding the insertion maps from the constant seed.
+    Each unwound word is the known rotation ``_xi_necklace`` picks, so the
+    outcome and the trace words come out canonical without a Booth pass.
     On failure the outcome is None and the trace records the descent.
     Raises DomainError once the descent area passes DESCENT_AREA_CAP.
     """
@@ -275,11 +325,10 @@ def construct_singular(
     if any(c for i, c in enumerate(counts) if i != b):
         return None, ConstructionTrace(words=None, **trace_base)
 
-    seed = CyclicWord(LinearWord(alphabet, (b,) * counts[b]))
-    words = [seed]
+    words = [_known_necklace(alphabet, (b,) * counts[b])]
     for letter in reversed(letters):
         words.append(
-            CyclicWord(LinearWord(alphabet, _xi_cyclic(letter, words[-1].indices)))
+            _known_necklace(alphabet, _xi_necklace(letter, words[-1].indices))
         )
     outcome = words[-1]
     return outcome, ConstructionTrace(words=tuple(words), **trace_base)
