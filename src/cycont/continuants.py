@@ -110,9 +110,19 @@ def _product(vals: Sequence[int], sign: int) -> tuple[int, int, int, int]:
 
 
 def _cyclic(vals: Sequence[int], sign: int) -> int:
-    """Trace of the product; x + sign for one letter x (interior K() = 1)."""
+    """Trace of the product; x + sign for one letter x (interior K() = 1).
+
+    Above ``_LEAF`` the top merge forms only the trace of the two halves'
+    product, 4 of its 8 multiplications and the widest ones.
+    """
+    n = len(vals)
+    if n > _LEAF:
+        mid = n // 2
+        a, b, c, d = _product(vals[:mid], sign)
+        e, f, g, h = _product(vals[mid:], sign)
+        return a * e + b * g + c * f + d * h
     a, _, _, d = _product(vals, sign)
-    return a + d if len(vals) > 1 else a + sign
+    return a + d if n > 1 else a + sign
 
 
 def _word_vals(

@@ -27,6 +27,13 @@ with that vector, if any, are only reachable by exhaustive search).  On
 success the output is the unique singular cyclic word with the requested
 vector, and it is a cyclic palindrome.
 
+``_xi_linear`` maps a whole word in about ten C-level passes, with no loop
+over its letters: each letter becomes its side of b as one byte, one shift
+and add of two big integers gives the codes of all adjacent pairs of sides,
+and a table turns each code into b or a gap byte, which is interleaved with
+the letters and then deleted.  Alphabets of more than 255 letters, which
+only the library can make, take the same steps over lists.
+
 The unwinding runs no Booth pass.  For a necklace t (t is its own least
 rotation) ``_xi_cyclic(b, t)`` returns a representative y of xi_b(t), and
 the least rotation of xi_b(t) is one fixed rotation of y
@@ -56,6 +63,8 @@ smaller one.  Outputs are unaffected by this choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 from math import gcd
 from typing import Sequence
 
@@ -71,10 +80,10 @@ from .words import (
 
 # Largest descent area (the sum of the chain's totals: the letters the
 # unwinding builds) construct_singular accepts.  At the cap the CLI peaks at
-# 93 MB in 1.3-1.4 s on 0,4000000, and 1,2826 takes 1.8-2.0 s at 71 MB
-# (pinned to one CPU of a 2-vCPU Xeon).  Neither is near a limit.  Memory
-# would still bind first if the cap were raised: at about 0.45 us and 20
-# bytes per letter of area, a minute of unwinding would need about 2.5 GB.
+# 94 MB in 1.1-1.3 s on 0,4000000, and 1,2826 and 1,1,3996 take 1.0-1.1 s
+# at 70 MB (pinned to one CPU of a 2-vCPU Xeon).  None is near a limit.
+# Memory would still bind first if the cap were raised: at about 0.1 us and
+# 20 bytes per letter of area, a minute of unwinding would need about 12 GB.
 DESCENT_AREA_CAP = 4_000_000
 
 
@@ -128,18 +137,57 @@ def midpoint_case(vector: ParikhVector) -> MidpointCase:
 
 # -- insertion maps ---------------------------------------------------------------
 
+# Byte standing for "insert nothing here" in the kernel's interleaved word;
+# the byte kernel takes letters below it.
+_GAP = 255
+_GAP_BYTE = bytes((_GAP,))
+# Pair codes 4 side(s) + side(next), sides 0 below b, 1 at, 2 above, 3 the
+# end, after which xi_b inserts one b: LL, HH, BL, BH and B-end.
+_INSERT_AFTER = frozenset((0, 10, 4, 6, 7))
+
+
+@lru_cache(maxsize=_GAP)
+def _xi_tables(b: int) -> tuple[bytes, bytes]:
+    """Translation tables for letter b: letter -> side, pair code -> fill."""
+    side = bytes(0 if c < b else 1 if c == b else 2 for c in range(256))
+    fill = bytes(b if c in _INSERT_AFTER else _GAP for c in range(256))
+    return side, fill
+
+
+def _as_bytes(b: int, t: tuple[int, ...]) -> bytes | None:
+    """t as bytes when b and all its letters lie below the gap, else None."""
+    if b >= _GAP:
+        return None
+    try:
+        word = bytes(t)
+    except ValueError:  # a letter above 255
+        return None
+    return None if _GAP in word else word
+
+
 def _xi_linear(b: int, t: tuple[int, ...]) -> tuple[int, ...]:
-    out: list[int] = []
+    """xi_b on a linear word, in whole-word passes (see the module docstring)."""
     n = len(t)
-    for i, s in enumerate(t):
-        out.append(s)
-        if s == b and (i + 1 == n or t[i + 1] != b):
-            out.append(b)
-        if i + 1 < n:
-            e = t[i + 1]
-            if (s > b and e > b) or (s < b and e < b):
-                out.append(b)
-    return tuple(out)
+    word = _as_bytes(b, t)
+    if word is None:
+        # Alphabets of more than 255 letters: the same passes over lists.
+        side = [0 if s < b else 1 if s == b else 2 for s in t]
+        insert = [4 * s + e in _INSERT_AFTER for s, e in zip(side, side[1:] + [3])]
+        out = [b] * (2 * n)
+        out[::2] = t
+        keep = [True] * (2 * n)
+        keep[1::2] = insert
+        return tuple(compress(out, keep))
+    side_table, fill_table = _xi_tables(b)
+    side = word.translate(side_table) + b"\x03"
+    # One byte lane per pair; no lane carries, as the largest code is 11.
+    codes = (int.from_bytes(side[:-1], "big") << 2) + int.from_bytes(
+        side[1:], "big"
+    )
+    out = bytearray(2 * n)
+    out[::2] = word
+    out[1::2] = codes.to_bytes(n, "big").translate(fill_table)
+    return tuple(out.translate(None, _GAP_BYTE))
 
 
 def _from_first_other(b: int, t: tuple[int, ...]) -> tuple[int, ...]:

@@ -136,8 +136,8 @@ class LinearWord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "indices", tuple(self.indices))
-        k = len(self.alphabet)
-        if any(not 0 <= i < k for i in self.indices):
+        t = self.indices
+        if t and (min(t) < 0 or max(t) >= len(self.alphabet)):
             raise ValueError("word contains indices outside the alphabet")
 
     def __len__(self) -> int:

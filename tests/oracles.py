@@ -5,10 +5,11 @@ continuants through 2x2 matrix products multiplied out one letter at a time
 and through the rolling two-term recurrence, cyclic continuants by their
 definition on the word and its interior, continued fractions through nested
 exact division, canonical rotations through a naive minimum, midpoint
-classification through the interval picture, class enumeration through a
-full sweep of k^n words (or of every word of one content), synchronization
-classes and exchange-graph edges through every cut of every rotation
-compared letter by letter with its reversal.
+classification through the interval picture, the insertion map xi_b one
+letter at a time, class enumeration through a full sweep of k^n words (or
+of every word of one content), synchronization classes and exchange-graph
+edges through every cut of every rotation compared letter by letter with
+its reversal.
 
 The two identity checkers at the end, ``split_identity_check`` and
 ``check_lintocirc``, are the exception: they evaluate both sides of an
@@ -199,6 +200,25 @@ def interval_midpoint(counts) -> tuple:
     low = max(b for b, c in enumerate(counts) if c and 2 * prefix[b + 1] <= total)
     high = min(b for b, c in enumerate(counts) if c and 2 * prefix[b] >= total)
     return ("pair", low, high)
+
+
+def xi_linear_by_letters(b: int, t: tuple) -> tuple:
+    """xi_b on a linear word of letter indices, one letter at a time.
+
+    After each letter s: one b when s ends a run of b, and one b when s
+    and the next letter lie strictly on the same side of b.
+    """
+    out = []
+    n = len(t)
+    for i, s in enumerate(t):
+        out.append(s)
+        if s == b and (i + 1 == n or t[i + 1] != b):
+            out.append(b)
+        if i + 1 < n:
+            e = t[i + 1]
+            if (s > b and e > b) or (s < b and e < b):
+                out.append(b)
+    return tuple(out)
 
 
 def necklace_count(counts) -> int:

@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from itertools import product
@@ -13,6 +14,7 @@ from cycont.singular import (
     LetterPair,
     SingleLetter,
     _xi_cyclic,
+    _xi_linear,
     _xi_necklace,
     christoffel,
     construct_singular,
@@ -28,6 +30,7 @@ from cycont.singular import (
 from cycont.words import (
     CyclicWord,
     LinearWord,
+    OrderedAlphabet,
     _least_rotation,
     alphabet_of_size,
     enumerate_class,
@@ -38,6 +41,7 @@ from oracles import (
     all_rotations,
     interval_midpoint,
     nonnegative_compositions,
+    xi_linear_by_letters,
 )
 
 
@@ -114,6 +118,39 @@ class TestXiLinear:
     def test_same_side_pairs_get_insertions(self, abcd):
         assert str(xi_linear("b", abcd.word("cd"))) == "cbd"
         assert str(xi_linear("c", abcd.word("ab"))) == "acb"
+
+    def test_kernel_matches_letter_loop_on_every_short_word(self):
+        """Every word over 2-5 letters up to lengths 12/8/6/5, the empty
+        and one-letter words included, with every letter b."""
+        for k, longest in ((2, 12), (3, 8), (4, 6), (5, 5)):
+            for n in range(longest + 1):
+                for t in product(range(k), repeat=n):
+                    for b in range(k):
+                        expect = xi_linear_by_letters(b, t)
+                        assert _xi_linear(b, t) == expect, (b, t)
+
+    def test_kernel_matches_letter_loop_on_long_random_words(self):
+        rng = random.Random(16)
+        for n in (1, 2, 299, 300, 4_099, 100_000):
+            k = rng.randint(2, 26)
+            t = tuple(rng.randrange(k) for _ in range(n))
+            for b in {0, t[0], rng.randrange(k), k - 1}:
+                assert _xi_linear(b, t) == xi_linear_by_letters(b, t)
+
+    def test_alphabets_past_the_byte_range(self):
+        """A 300-letter alphabet takes the list branch: letters and b at
+        and above 255, the byte kernel's gap, give the same words."""
+        big = OrderedAlphabet(tuple(f"s{i}" for i in range(300)))
+        rng = random.Random(300)
+        letters = (0, 1, 200, 254, 255, 256, 299)
+        for n in (0, 1, 2, 5, 40, 2_000):
+            t = tuple(rng.choice(letters) for _ in range(n))
+            for b in letters:
+                assert _xi_linear(b, t) == xi_linear_by_letters(b, t)
+        word = big.word(["s255", "s299", "s3", "s1", "s255", "s255"])
+        assert str(xi_linear("s255", word)) == (
+            "s255,s255,s299,s3,s255,s1,s255,s255,s255"
+        )
 
 
 class TestXiCyclic:
