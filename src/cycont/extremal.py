@@ -39,9 +39,11 @@ One cap, ``WORK_CAP``, bounds the two enumerating paths.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from functools import cached_property
+from itertools import chain, groupby
 from typing import Literal, Mapping, Sequence
 
 from .continuants import DomainError, _cyclic, resolve_values
@@ -347,8 +349,14 @@ class ExchangeGraph:
     def successors(self, vertex: CyclicWord) -> tuple[CyclicWord, ...]:
         return self.edges[vertex]
 
+    @cached_property
+    def _in_degree(self) -> Counter[CyclicWord]:
+        """Edges into each entered vertex, counted once for the sources and
+        the order."""
+        return Counter(chain.from_iterable(self.edges.values()))
+
     def sources(self) -> tuple[CyclicWord, ...]:
-        entered = {t for outs in self.edges.values() for t in outs}
+        entered = self._in_degree
         return tuple(v for v in self.vertices if v not in entered)
 
     def sinks(self) -> tuple[CyclicWord, ...]:
@@ -356,18 +364,16 @@ class ExchangeGraph:
 
     def topological_order(self) -> tuple[CyclicWord, ...]:
         """Kahn's algorithm; raises ValueError if a cycle exists."""
-        indeg = {v: 0 for v in self.vertices}
-        for outs in self.edges.values():
-            for t in outs:
-                indeg[t] += 1
-        queue = [v for v in self.vertices if indeg[v] == 0]
+        indeg = self._in_degree.copy()
+        queue = list(self.sources())
         order = []
         while queue:
             v = queue.pop()
             order.append(v)
             for t in self.edges[v]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
+                left = indeg[t] - 1
+                indeg[t] = left
+                if not left:
                     queue.append(t)
         if len(order) != len(self.vertices):
             raise ValueError("exchange graph contains a cycle")
@@ -386,32 +392,46 @@ def build_exchange_graph(
 ) -> ExchangeGraph:
     """Exchange graph of the symmetric cyclic Abelian class of the vector.
 
-    Raises DomainError at once if the class is charged past WORK_CAP."""
+    Raises DomainError at once if the class is charged past WORK_CAP.
+
+    The build runs on bytes, each letter replaced by its rank among the
+    letters that occur, which keeps every comparison and every cut; the
+    work cap admits no class of more than nine letters.  Each edge is read
+    once: the cut (s, m) of u v gives u* v, and its complement (s + m,
+    n - m) gives v* u, the reversal, so the same vertex, and both cuts are
+    apart or neither is.  So only cut lengths m <= n/2 are read."""
     if vector.total < 1:
         raise ValueError("cannot build the graph of the zero vector")
     _class_size(vector, _graph_cost(vector.total))
     alphabet = vector.alphabet
+    letters = [i for i, c in enumerate(vector.counts) if c]
     # necklace -> itself, then -> vertex key
-    key_of = {t: t for t in _necklace_walk(vector.counts)}
-    low = next(i for i, c in enumerate(vector.counts) if c)
+    walk = _necklace_walk([c for c in vector.counts if c])
+    key_of = {t: t for t in map(bytes, walk)}
     # Every word canonicalised below is a rotation of a necklace of the class.
-    keys = [min(t, _at_rotation(key_of, t[::-1], low)) for t in key_of]
+    keys = [min(t, _at_rotation(key_of, t[::-1])) for t in key_of]
     key_of = dict(zip(key_of, keys))
-    vertex_of = {key: _known_necklace(alphabet, key) for key in sorted(set(keys))}
+    vertex_of = {
+        key: _known_necklace(alphabet, tuple(map(letters.__getitem__, key)))
+        for key in sorted(set(keys))
+    }
 
     plain = kind is SyncKind.PLAIN
     n = vector.total
     edges: dict[CyclicWord, tuple[CyclicWord, ...]] = {}
     for key, vertex in vertex_of.items():
         d = key + key
-        moved: set[tuple[int, ...]] = set()
+        back = d[::-1]  # back[2n - 1 - i] is d[i]
+        moved: set[bytes] = set()
         for m, _, plain_apart, alt_apart in _cut_rows(key):
+            if 2 * m > n:  # read at n - m instead
+                continue
             apart = plain_apart if plain else alt_apart
             while apart:  # one edge per set bit s: rotation s, cut at m
                 s = (apart & -apart).bit_length() - 1
                 apart &= apart - 1
-                r = d[s : s + n]
-                moved.add(r[m - 1 :: -1] + r[m:])
-        targets = {_at_rotation(key_of, w, low) for w in moved}
+                # u = d[s : s + m] reversed, then v = d[s + m : s + n]
+                moved.add(back[2 * n - s - m : 2 * n - s] + d[s + m : s + n])
+        targets = {_at_rotation(key_of, w) for w in moved}
         edges[vertex] = tuple(vertex_of[k] for k in sorted(targets))
     return ExchangeGraph(vector, kind, tuple(vertex_of.values()), edges)

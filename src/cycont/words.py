@@ -67,6 +67,9 @@ class OrderedAlphabet:
     _index: dict[str, int] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    # Translation table from letter indices to names, when every symbol is
+    # one Latin-1 character and there are at most 256: words name in C.
+    _latin1: bytes | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         symbols = tuple(self.symbols)
@@ -87,6 +90,9 @@ class OrderedAlphabet:
             if any(a >= b for a, b in zip(values, values[1:])):
                 raise ValueError("symbol values must strictly increase with symbol order")
         self._index.update({s: i for i, s in enumerate(symbols)})
+        if len(symbols) <= 256 and all(len(s) == 1 and s <= "\xff" for s in symbols):
+            names = "".join(symbols).encode("latin-1")
+            object.__setattr__(self, "_latin1", names + bytes(256 - len(names)))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -144,10 +150,12 @@ class LinearWord:
         return len(self.indices)
 
     def __str__(self) -> str:
-        names = [self.alphabet.symbols[i] for i in self.indices]
-        if all(len(n) == 1 for n in self.alphabet.symbols):
-            return "".join(names)
-        return ",".join(names)
+        table = self.alphabet._latin1
+        if table is not None:
+            return bytes(self.indices).translate(table).decode("latin-1")
+        symbols = self.alphabet.symbols
+        names = map(symbols.__getitem__, self.indices)
+        return ("" if all(len(n) == 1 for n in symbols) else ",").join(names)
 
     def __repr__(self) -> str:
         return f"LinearWord({str(self)!r})"
@@ -313,30 +321,33 @@ def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
     return t[k:] + t[:k] if k else t
 
 
-def _at_rotation(
-    table: dict[tuple[int, ...], _V], w: tuple[int, ...], low: int
-) -> _V:
+def _at_rotation(table: dict[bytes, _V], w: bytes) -> _V:
     """Value of ``table`` at the one rotation of w that is among its keys.
 
     The keys are least rotations (necklaces), so the key sought is w's
-    least rotation, without Booth's algorithm.  With ``low`` the least
-    letter of w, that rotation starts a maximal run of ``low``: one letter
-    inside a run, the rotation a step earlier would be smaller.  So only
-    run starts are tried.  A word of one repeated letter has no run start
-    and is its own least rotation.  No value may be None.  KeyError if
-    no rotation is a key.
+    least rotation, without Booth's algorithm.  The least letter of w
+    must be 0.  The rotation sought starts a maximal run of 0: one letter
+    inside a run, the rotation a step earlier would be smaller.  So only run starts
+    are tried, found in C as the pairs (other letter, 0) of a byte mask:
+    the cost per lookup grows with the number of runs, not with their
+    length.  A word of one repeated letter has no run start and is its
+    own least rotation.  No value may be None.  KeyError if no rotation
+    is a key.
     """
     n = len(w)
     d = w + w
-    s = w.index(low)
-    stop = s + n  # d[stop] is low: index() below never runs off d
-    while s < stop:
-        if d[s - 1] != low:  # d[-1] is w's last letter, so s = 0 is cyclic
-            value = table.get(d[s : s + n])
-            if value is not None:
-                return value
-        s = d.index(low, s + 1)
+    mask = d.translate(_ZERO_MASK)  # 1 where d holds 0, else 0
+    s = mask.find(b"\0\1")  # s + 1 starts a run; starts 1..n cover w
+    while 0 <= s < n:
+        s += 1
+        value = table.get(d[s : s + n])
+        if value is not None:
+            return value
+        s = mask.find(b"\0\1", s)
     return table[w]
+
+
+_ZERO_MASK = b"\1" + bytes(255)  # translation table: 0 -> 1, others -> 0
 
 
 def _known_necklace(alphabet: OrderedAlphabet, t: tuple[int, ...]) -> CyclicWord:
@@ -357,8 +368,27 @@ def _known_necklace(alphabet: OrderedAlphabet, t: tuple[int, ...]) -> CyclicWord
 # 80 MB of process RSS at 18k letters, 267 MB at 36k and 1,014 MB at 72k.
 CUT_TABLE_CAP = 40_000
 
+# Entry c of table j is b"1" if bit j of the letter c is set, else b"0".
+_PLANE_TABLES = tuple(
+    (b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)
+)
 
-def _cut_rows(t: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
+
+def _bit_planes(t: tuple[int, ...] | bytes) -> list[int]:
+    """Bit j of each letter as one integer whose bit s is t[s]'s, for
+    every j in use, most significant plane first."""
+    bits = reversed(range(max(t).bit_length()))
+    try:
+        word = bytes(t[::-1])
+    except ValueError:  # a letter above 255: one Python step per letter
+        return [
+            int("".join("1" if c >> j & 1 else "0" for c in reversed(t)), 2)
+            for j in bits
+        ]
+    return [int(word.translate(_PLANE_TABLES[j]), 2) for j in bits]
+
+
+def _cut_rows(t: tuple[int, ...] | bytes) -> Iterator[tuple[int, int, int, int]]:
     """Cut sets of the cyclic word t, from the outside-in mismatch table.
 
     Yields (m, cuts, plain, alt) once for each cut length m in 2..n-2, in
@@ -383,37 +413,44 @@ def _cut_rows(t: tuple[int, ...]) -> Iterator[tuple[int, int, int, int]]:
     if n < 4:  # every cut has a one-letter, palindromic part
         return
     full = (1 << n) - 1
-
-    def rot(x: int, d: int) -> int:
-        """Bit s of the result is bit (s + d) mod n of x."""
-        return ((x >> d) | (x << (n - d))) & full
-
-    planes = [  # bit j of each letter, most significant plane first
-        int("".join("1" if c >> j & 1 else "0" for c in reversed(t)), 2)
-        for j in reversed(range(max(t).bit_length()))
-    ]
+    # Rotation by d, inline: bit s of ((x >> d) | (x << (n - d))) & full is
+    # bit (s + d) mod n of x.  The mask is left out where an & with a
+    # masked set follows.
+    planes = _bit_planes(t)
     p = next(d for d in range(1, n + 1) if n % d == 0 and t[d:] == t[: n - d])
     starts = (1 << p) - 1
     older = old = (0, 0, 0)  # rows 0 and 1: every factor is a palindrome
     waiting = {}
     for L in range(2, n - 1):
         ne = lt = 0  # ends t[s] != t[s + L - 1], and t[s] < t[s + L - 1]
+        d, e = L - 1, n - L + 1
         for plane in planes:
-            diff = (plane ^ rot(plane, L - 1)) & ~ne
+            diff = (plane ^ (((plane >> d) | (plane << e)) & full)) & ~ne
             lt |= diff & ~plane
             ne |= diff
         eq = full ^ ne
-        adm, pl, al = older
-        row = (ne | rot(adm, 1), lt | (eq & rot(pl, 1)), lt | (eq & ~rot(al, 1)))
+        adm, pl, al = older  # rotated by 1: the factor (s + 1, L - 2)
+        e = n - 1
+        row = (
+            ne | (((adm >> 1) | (adm << e)) & full),
+            lt | (eq & ((pl >> 1) | (pl << e))),
+            lt | (eq & ~((al >> 1) | (al << e))),
+        )
         older, old = old, row
         if 2 * L < n:
             waiting[L] = row
             continue
-        partner = row if 2 * L == n else waiting.pop(n - L)
-        cut_lengths = {L: (row, partner), n - L: (partner, row)}  # one if 2L = n
-        for m, ((adm_u, pl_u, al_u), (adm_v, pl_v, al_v)) in cut_lengths.items():
-            cuts = adm_u & rot(adm_v, m) & starts
-            yield m, cuts, (pl_u ^ rot(pl_v, m)) & cuts, (al_u ^ rot(al_v, m)) & cuts
+        # Cut length m reads u from row m and v from row n - m.
+        if 2 * L == n:
+            cut_lengths: tuple = ((L, row, row),)
+        else:
+            partner = waiting.pop(n - L)
+            cut_lengths = ((n - L, partner, row), (L, row, partner))
+        for m, (adm_u, pl_u, al_u), (adm_v, pl_v, al_v) in cut_lengths:
+            e = n - m
+            cuts = adm_u & ((adm_v >> m) | (adm_v << e)) & starts
+            yield (m, cuts, (pl_u ^ ((pl_v >> m) | (pl_v << e))) & cuts,
+                   (al_u ^ ((al_v >> m) | (al_v << e))) & cuts)
 
 
 def split_points(omega: CyclicWord) -> Iterator[tuple[LinearWord, LinearWord]]:

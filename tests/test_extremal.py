@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from itertools import product
@@ -36,6 +37,7 @@ from cycont.singular import construct_singular, is_singular
 
 from oracles import (
     _arrangements,
+    _less_than_reversal,
     check_lintocirc,
     classes_by_sweep,
     classify_by_cuts,
@@ -44,10 +46,12 @@ from oracles import (
     necklace_count,
     naive_canonical,
     nonnegative_compositions,
+    splits_by_slicing,
 )
 from oracles import positive_compositions as _positive_compositions
 
 V234 = OrderedAlphabet(("2", "3", "4"), (2, 3, 4))
+WIDE = OrderedAlphabet(tuple(f"x{i}" for i in range(300)))
 
 
 class TestIsSynchronizing:
@@ -123,6 +127,35 @@ class TestClassifyAgainstCuts:
         p = min(period, len(word))
         t = tuple(word[:p]) * (len(word) // p)
         assert _classify_indices(t) == classify_by_cuts(t)
+
+    @pytest.mark.parametrize("letters", [2, 3, 5, 300])
+    def test_a_300_letter_alphabet(self, letters):
+        """Random words of 1-200 letters over a 300-letter alphabet, drawn
+        from ``letters`` of its letters, one of them past 255: they take the
+        cut table's guarded branch.  The same word over the ranks of its
+        letters, which keep their order, takes the byte branch.  Both match
+        the oracle, and so do the splits of the words up to 40 letters."""
+        rng = random.Random(letters)
+        for _ in range(40):
+            pool = rng.sample(range(256, 300), 1) + rng.sample(range(300), letters - 1)
+            t = tuple(rng.choice(pool) for _ in range(rng.randint(1, 200)))
+            rank = {c: i for i, c in enumerate(sorted(set(t)))}
+            expected = classify_by_cuts(t)
+            omega = CyclicWord(LinearWord(WIDE, t))
+            assert classify(omega) == expected, t
+            small = tuple(rank[c] for c in t)
+            assert classify(CyclicWord(LinearWord(WIDE, small))) == expected, t
+            if len(t) <= 40:
+                got = [(u.indices, v.indices) for u, v in split_points(omega)]
+                assert got == list(splits_by_slicing(omega.indices)), t
+
+    def test_a_singular_word_past_255(self):
+        """A constructed singular word keeps its classes when its letters
+        move to 297-299, where random words fall out of all four at once."""
+        t = tuple(297 + c for c in _constructed(SINGULAR_SHORT[0]).indices)
+        membership = classify(CyclicWord(LinearWord(WIDE, t)))
+        assert membership.in_S
+        assert membership == classify_by_cuts(t)
 
 
 # Vectors whose descent succeeds, giving singular words of 104-300 letters;
@@ -677,6 +710,29 @@ class TestExchangeGraph:
         """A frequent and a rare least letter (long and single runs to
         step over), and classes with vertices of period below n."""
         self._assert_matches_cut_oracle(counts)
+
+    @pytest.mark.parametrize("letters,max_len", [(2, 10), (3, 10), (4, 8)])
+    def test_a_cut_and_its_complement_give_one_edge(self, letters, max_len):
+        """The rule the build's halving rests on, read from the slicing
+        oracle's cuts of every word up to rotation.  The complement (s + m,
+        n - m) of an admissible cut (s, m) of u v is admissible; its moved
+        word v* u is the reversal of u* v, so both give the same vertex; and
+        it is apart exactly when (s, m) is, under both kinds."""
+        for n in range(4, max_len + 1):
+            for t in product(range(letters), repeat=n):
+                if t != naive_canonical(t):
+                    continue
+                cuts = {  # (rotation, m) -> moved word, apart plain, apart alt
+                    (u + v, len(u)): (u[::-1] + v, *(
+                        _less_than_reversal(u, alt) != _less_than_reversal(v, alt)
+                        for alt in (False, True)
+                    ))
+                    for u, v in splits_by_slicing(t)
+                }
+                for (r, m), (moved, *apart) in cuts.items():
+                    other, *other_apart = cuts[r[m:] + r[:m], n - m]
+                    assert other == moved[::-1], (t, r, m)
+                    assert other_apart == apart, (t, r, m)
 
     @pytest.mark.parametrize("counts", [(2, 2, 2), (3, 2, 1, 2)])
     def test_build_makes_no_booth_pass(self, counts, monkeypatch):

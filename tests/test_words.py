@@ -66,6 +66,33 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             ab.word("ax")
 
+    @pytest.mark.parametrize(
+        "symbols",
+        [
+            tuple("ab"),
+            ("lo", "hi"),
+            tuple("aé\xff"),  # single characters up to U+00FF
+            tuple(chr(c) for c in range(256)),
+            tuple(chr(0x20 + c) for c in range(300)),  # past U+00FF and 256 letters
+            tuple(chr(0x100 + c) for c in range(3)),
+            ("a", "bc", "d"),
+        ],
+    )
+    def test_word_names(self, symbols):
+        """A word's name is its symbols, joined by nothing when every symbol
+        is one character and by commas otherwise."""
+        alphabet = OrderedAlphabet(symbols)
+        joint = "" if all(len(s) == 1 for s in symbols) else ","
+        k = len(symbols)
+        for t in [(), (0,), tuple(range(k)), tuple(range(k))[::-1] * 2, (k - 1, 0, k - 1)]:
+            expected = joint.join(symbols[i] for i in t)
+            word = LinearWord(alphabet, t)
+            assert str(word) == expected
+            assert repr(word) == f"LinearWord({expected!r})"
+            if t:
+                assert str(CyclicWord(word)) == joint.join(
+                    symbols[i] for i in naive_canonical(t))
+
 
 class TestReverse:
     def test_examples(self, abc):
@@ -264,19 +291,32 @@ class TestAtRotation:
     @pytest.mark.parametrize("letters,max_len", [(1, 5), (2, 10), (3, 7), (4, 6)])
     def test_finds_the_least_rotation_of_every_word(self, letters, max_len):
         """The keys are every necklace of the length; the values are their
-        ranks, so the first is 0 and still found."""
+        ranks, so the first is 0 and still found.  Every word whose least
+        letter is 0, as bytes."""
         for n in range(1, max_len + 1):
-            words = list(product(range(letters), repeat=n))
+            words = [t for t in product(range(letters), repeat=n) if 0 in t]
             necklaces = sorted({naive_canonical(t) for t in words})
-            rank = {c: i for i, c in enumerate(necklaces)}
+            rank = {bytes(c): i for i, c in enumerate(necklaces)}
             for t in words:
-                assert necklaces[_at_rotation(rank, t, min(t))] == naive_canonical(t)
+                assert necklaces[_at_rotation(rank, bytes(t))] == naive_canonical(t)
+
+    @pytest.mark.parametrize("counts", [(12, 1, 1), (1, 1, 12), (5, 5), (3, 2, 1, 3)])
+    def test_long_and_many_runs(self, counts):
+        """Classes with long runs of 0, one run, and many: every rotation of
+        every necklace and of its reversal."""
+        necklaces = [bytes(t) for t in _necklace_walk(counts)]
+        rank = {c: i for i, c in enumerate(necklaces)}
+        for c in necklaces:
+            for w in (c, c[::-1]):
+                for s in range(len(w)):
+                    r = w[s:] + w[:s]
+                    assert necklaces[_at_rotation(rank, r)] == bytes(naive_canonical(tuple(r)))
 
     def test_a_word_with_no_rotation_among_the_keys(self):
         with pytest.raises(KeyError):
-            _at_rotation({(0, 0, 1): "x"}, (0, 1, 1), 0)
+            _at_rotation({b"\0\0\1": "x"}, b"\0\1\1")
         with pytest.raises(KeyError):
-            _at_rotation({(1, 1, 1): "x"}, (0, 0, 0), 0)
+            _at_rotation({b"\1\1\1": "x"}, b"\0\0\0")
 
 
 class TestEnumerateClass:
