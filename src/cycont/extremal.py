@@ -363,9 +363,14 @@ class ExchangeGraph:
         return tuple(v for v in self.vertices if not self.edges[v])
 
     def topological_order(self) -> tuple[CyclicWord, ...]:
-        """Kahn's algorithm; raises ValueError if a cycle exists."""
-        indeg = self._in_degree.copy()
+        """Kahn's algorithm; raises ValueError if a cycle exists.
+
+        It counts down the cached in-degree count itself, rather than a
+        copy, so one count of the graph's size is held at a time; a later
+        call counts again."""
         queue = list(self.sources())
+        indeg = self._in_degree
+        object.__delattr__(self, "_in_degree")  # frozen: bypass __delattr__
         order = []
         while queue:
             v = queue.pop()
