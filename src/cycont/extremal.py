@@ -177,11 +177,14 @@ def reversal_class_representative(omega: CyclicWord) -> CyclicWord:
 # 12,12,1, but cuts little where the least letter is frequent: pinned to
 # one CPU through the CLI, 519,1,1, 145,1,1,1 and 60,1,1,1,1 take 11.1,
 # 20.4-21.9 and 25.8-26.3 s (the host's speed drifts by up to a factor
-# of two between hours).  A graph member costs 130-255 n^3 units through
+# of two between hours).  A graph member cost 130-255 n^3 units through
 # the CLI at 9-16 letters, 30-105 n^3 at 19-43 and 12-37 n^3 at 66-281,
-# against 147-252, 62-126 and 20-45 n^3 charged by 12 n^2 (n + 180).
-# The slowest admitted classes found take up to 26 s (search,
-# 60,1,1,1,1) and 58 s (graph, 7,2,2,2,1).
+# against 147-252, 62-126 and 20-45 n^3 charged by 12 n^2 (n + 180),
+# measured before the build read each edge once.  The slowest admitted
+# classes found took up to 26 s (search, 60,1,1,1,1) and 58 s (graph,
+# 7,2,2,2,1, in a slow hour); pinned to one CPU, 7,2,2,2,1 now takes
+# 23 s through the CLI, against 29 s for the earlier build in the same
+# hour.  The charge is kept, so every class admitted before still is.
 WORK_CAP = 75_000_000_000
 
 

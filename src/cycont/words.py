@@ -442,7 +442,7 @@ def _cut_rows(t: tuple[int, ...] | bytes) -> Iterator[tuple[int, int, int, int]]
             continue
         # Cut length m reads u from row m and v from row n - m.
         if 2 * L == n:
-            cut_lengths: tuple = ((L, row, row),)
+            cut_lengths = ((L, row, row),)
         else:
             partner = waiting.pop(n - L)
             cut_lengths = ((n - L, partner, row), (L, row, partner))
