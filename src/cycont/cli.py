@@ -229,15 +229,12 @@ def cmd_construct(args) -> int:
 def cmd_graph(args) -> int:
     vector = _vector_input(args)
     graph = build_exchange_graph(vector, args.kind)
-    name = {v: str(v) for v in graph.vertices}  # str() of a word is slow
-    edges = {name[v]: [name[t] for t in graph.successors(v)] for v in graph.vertices}
+    names = [str(v) for v in graph.vertices]
+    edges = {v: [names[t] for t in ts] for v, ts in zip(names, graph.targets)}
     if args.dot:
         out = [f'digraph exchange_{args.kind.value} {{']
-        for v in name.values():
-            out.append(f'  "{v}";')
-        for v, targets in edges.items():
-            for t in targets:
-                out.append(f'  "{v}" -> "{t}";')
+        out += [f'  "{v}";' for v in names]
+        out += [f'  "{v}" -> "{t}";' for v, ts in edges.items() for t in ts]
         out.append("}")
         print("\n".join(out))
         return EXIT_OK
@@ -245,15 +242,15 @@ def cmd_graph(args) -> int:
         "vector": list(vector.counts),
         "alphabet": list(vector.alphabet.symbols),
         "kind": args.kind.value,
-        "vertices": list(name.values()),
+        "vertices": names,
         "edges": edges,
-        "sources": [name[v] for v in graph.sources()],
-        "sinks": [name[v] for v in graph.sinks()],
+        "sources": [str(v) for v in graph.sources()],
+        "sinks": [str(v) for v in graph.sinks()],
         "acyclic": graph.is_acyclic(),
         "edge_count": sum(len(t) for t in edges.values()),
     }
     lines = [
-        f"{len(name)} vertices, {payload['edge_count']} edges, "
+        f"{len(names)} vertices, {payload['edge_count']} edges, "
         f"acyclic {str(payload['acyclic']).lower()}",
         "sources " + " ".join(payload["sources"]),
         "sinks " + " ".join(payload["sinks"]),
@@ -359,11 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7+ caps it at 4,300
+    # Python 3.10.7+ caps int-to-str conversion at 4,300 digits by default:
+    # the cap is lifted for the call and put back on every way out.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except CliError as exc:
         print(f"cycont: error: {exc}", file=sys.stderr)
@@ -374,6 +373,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"cycont: error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -39,12 +39,11 @@ One cap, ``WORK_CAP``, bounds the two enumerating paths.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain, groupby
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Sequence
 
 from .continuants import DomainError, _cyclic, resolve_values
 from .words import (
@@ -339,49 +338,47 @@ def search(
 class ExchangeGraph:
     """Directed exchange graph on the reversal-identified Abelian class.
 
-    One vertex per pair {omega, omega*}; one edge per non-synchronizing
-    factorization, deduplicated per target.  Sinks are exactly the singular
+    One vertex per pair {omega, omega*}, in ascending order of ``indices``;
+    one edge per non-synchronizing factorization, deduplicated per target.
+    ``targets[i]`` holds the ascending positions in ``vertices`` of the
+    successors of ``vertices[i]``.  Sinks are exactly the singular
     (resp. alt-singular) members; the graph is acyclic.
     """
 
     parikh: ParikhVector
     kind: SyncKind
     vertices: tuple[CyclicWord, ...]
-    edges: Mapping[CyclicWord, tuple[CyclicWord, ...]]
+    targets: tuple[tuple[int, ...], ...]
 
     def successors(self, vertex: CyclicWord) -> tuple[CyclicWord, ...]:
-        return self.edges[vertex]
-
-    @cached_property
-    def _in_degree(self) -> Counter[CyclicWord]:
-        """Edges into each entered vertex, counted once for the sources and
-        the order."""
-        return Counter(chain.from_iterable(self.edges.values()))
+        """The vertices an edge leaves ``vertex`` for; KeyError if it is not
+        a vertex of the graph."""
+        i = bisect_left(self.vertices, vertex.indices, key=lambda v: v.indices)
+        if i == len(self.vertices) or self.vertices[i] != vertex:
+            raise KeyError(vertex)
+        return tuple([self.vertices[t] for t in self.targets[i]])
 
     def sources(self) -> tuple[CyclicWord, ...]:
-        entered = self._in_degree
-        return tuple(v for v in self.vertices if v not in entered)
+        entered = set(chain.from_iterable(self.targets))
+        return tuple([v for i, v in enumerate(self.vertices) if i not in entered])
 
     def sinks(self) -> tuple[CyclicWord, ...]:
-        return tuple(v for v in self.vertices if not self.edges[v])
+        return tuple([v for v, t in zip(self.vertices, self.targets) if not t])
 
     def topological_order(self) -> tuple[CyclicWord, ...]:
-        """Kahn's algorithm; raises ValueError if a cycle exists.
-
-        It counts down the cached in-degree count itself, rather than a
-        copy, so one count of the graph's size is held at a time; a later
-        call counts again."""
-        queue = list(self.sources())
-        indeg = self._in_degree
-        object.__delattr__(self, "_in_degree")  # frozen: bypass __delattr__
+        """Kahn's algorithm over vertex positions, last found first out;
+        raises ValueError if a cycle exists."""
+        indeg = [0] * len(self.vertices)
+        for t in chain.from_iterable(self.targets):
+            indeg[t] += 1
+        queue = [i for i, d in enumerate(indeg) if not d]
         order = []
         while queue:
-            v = queue.pop()
-            order.append(v)
-            for t in self.edges[v]:
-                left = indeg[t] - 1
-                indeg[t] = left
-                if not left:
+            i = queue.pop()
+            order.append(self.vertices[i])
+            for t in self.targets[i]:
+                indeg[t] -= 1
+                if not indeg[t]:
                     queue.append(t)
         if len(order) != len(self.vertices):
             raise ValueError("exchange graph contains a cycle")
@@ -413,21 +410,18 @@ def build_exchange_graph(
     _class_size(vector, _graph_cost(vector.total))
     alphabet = vector.alphabet
     letters = [i for i, c in enumerate(vector.counts) if c]
-    # necklace -> itself, then -> vertex key
+    # necklace -> itself, then -> the position of its vertex
     walk = _necklace_walk([c for c in vector.counts if c])
-    key_of = {t: t for t in map(bytes, walk)}
+    vertex_at = {t: t for t in map(bytes, walk)}
     # Every word canonicalised below is a rotation of a necklace of the class.
-    keys = [min(t, _at_rotation(key_of, t[::-1])) for t in key_of]
-    key_of = dict(zip(key_of, keys))
-    vertex_of = {
-        key: _known_necklace(alphabet, tuple(map(letters.__getitem__, key)))
-        for key in sorted(set(keys))
-    }
+    keys = [min(t, _at_rotation(vertex_at, t[::-1])) for t in vertex_at]
+    position = {key: i for i, key in enumerate(sorted(set(keys)))}
+    vertex_at = dict(zip(vertex_at, map(position.__getitem__, keys)))
 
     plain = kind is SyncKind.PLAIN
     n = vector.total
-    edges: dict[CyclicWord, tuple[CyclicWord, ...]] = {}
-    for key, vertex in vertex_of.items():
+    targets = []
+    for key in position:
         d = key + key
         back = d[::-1]  # back[2n - 1 - i] is d[i]
         moved: set[bytes] = set()
@@ -440,6 +434,7 @@ def build_exchange_graph(
                 apart &= apart - 1
                 # u = d[s : s + m] reversed, then v = d[s + m : s + n]
                 moved.add(back[2 * n - s - m : 2 * n - s] + d[s + m : s + n])
-        targets = {_at_rotation(key_of, w) for w in moved}
-        edges[vertex] = tuple(vertex_of[k] for k in sorted(targets))
-    return ExchangeGraph(vector, kind, tuple(vertex_of.values()), edges)
+        targets.append(tuple(sorted({_at_rotation(vertex_at, w) for w in moved})))
+    words = [tuple(map(letters.__getitem__, key)) for key in position]
+    vertices = tuple([_known_necklace(alphabet, t) for t in words])
+    return ExchangeGraph(vector, kind, vertices, tuple(targets))

@@ -187,8 +187,8 @@ class CyclicWord:
         if k:
             t = t[k:] + t[:k]
             object.__setattr__(self, "word", LinearWord(self.word.alphabet, t))
-        # Graphs and dicts hash a word many times; the generated hash would
-        # rebuild it through LinearWord and OrderedAlphabet each time.
+        # A word in a dict or set is hashed at every lookup; the generated
+        # hash would rebuild it through LinearWord and OrderedAlphabet each time.
         object.__setattr__(self, "_hash", hash(t))
 
     def __len__(self) -> int:

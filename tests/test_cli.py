@@ -1,15 +1,18 @@
 import csv
 import io
 import json
+import sys
 import time
 
 import pytest
 
 from cycont.cli import main
 from cycont.continuants import cyclic_regular
-from cycont.extremal import WORK_CAP
+from cycont.extremal import WORK_CAP, build_exchange_graph
 from cycont.singular import DESCENT_AREA_CAP
-from cycont.words import CUT_TABLE_CAP, alphabet_of_size
+from cycont.words import CUT_TABLE_CAP, OrderedAlphabet, alphabet_of_size
+
+HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")  # Python 3.10.7+
 
 
 def run(capsys, *argv):
@@ -21,6 +24,20 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--format", "json")
     return code, json.loads(out) if out else None, err
+
+
+@pytest.fixture
+def lift_digit_limit():
+    """A call that lifts the int-to-str digit limit, so a test can parse a
+    long value once main() has printed it; the limit is restored after."""
+    if not HAS_DIGIT_LIMIT:
+        yield lambda: None
+        return
+    limit = sys.get_int_max_str_digits()
+    try:
+        yield lambda: sys.set_int_max_str_digits(0)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestEval:
@@ -66,12 +83,13 @@ class TestEval:
             main(["eval", "--values", "2,3"])
         assert exc.value.code == 1
 
-    def test_prints_a_value_past_4300_digits(self, capsys):
+    def test_prints_a_value_past_4300_digits(self, capsys, lift_digit_limit):
         code, out, _ = run(
             capsys, "eval", "--word", "ab" * 2500, "--values", "10,11",
             "--cyclic-regular",
         )
         assert code == 0
+        lift_digit_limit()
         word = alphabet_of_size(2, values=(10, 11)).cyclic("ab" * 2500)
         assert int(out) == cyclic_regular(word)
         assert len(out.strip()) > 4300
@@ -167,12 +185,14 @@ class TestSearch:
         assert code == 0
         assert payload["class_size"] == 429
 
-    def test_long_regular_maximum(self, capsys):
-        code, payload, _ = run_json(
+    def test_long_regular_maximum(self, capsys, lift_digit_limit):
+        code, out, _ = run(
             capsys, "search", "--vector", "1500,1500,1500", "--values",
-            "10,11,12", "--regular", "--max",
+            "10,11,12", "--regular", "--max", "--format", "json",
         )
         assert code == 0
+        lift_digit_limit()
+        payload = json.loads(out)
         assert len(str(payload["value"])) > 4300
         assert len(str(payload["class_size"])) > 2000
         assert payload["unique_up_to_reversal"] is True
@@ -369,6 +389,34 @@ class TestGraph:
         assert out.startswith("digraph")
         assert '"aabccb" ->' in out
 
+    def test_edges_by_position_with_comma_joined_names(self, capsys):
+        """Token names take the comma-joined path, not the Latin-1 table;
+        every JSON field and text line is checked against names built from
+        the library graph through ``successors``."""
+        alphabet = OrderedAlphabet(("x1", "x2", "x3"))
+        graph = build_exchange_graph(alphabet.vector((3, 2, 1)))
+        edges = {
+            str(v): [str(t) for t in graph.successors(v)] for v in graph.vertices
+        }
+        sources = [str(v) for v in graph.sources()]
+        sinks = [str(v) for v in graph.sinks()]
+        argv = ("graph", "--vector", "3,2,1", "--alphabet", "x1,x2,x3")
+        code, payload, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert payload["vertices"] == [str(v) for v in graph.vertices]
+        assert "x1,x1,x1,x2,x2,x3" in payload["vertices"]
+        assert list(payload["edges"].items()) == list(edges.items())
+        assert payload["sources"] == sources
+        assert payload["sinks"] == sinks
+        assert payload["edge_count"] == sum(map(len, edges.values())) > 0
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            f"{len(edges)} vertices, {payload['edge_count']} edges, acyclic true",
+            "sources " + " ".join(sources),
+            "sinks " + " ".join(sinks),
+        ]
+
 
 class TestXi:
     def test_linear_image(self, capsys):
@@ -443,6 +491,31 @@ class TestFlagsOnlyWhereTheyAct:
             main(argv)
         assert exc.value.code == 1
         assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int-to-str digit limit")
+class TestDigitLimit:
+    """main() lifts the int-to-str digit limit for its own call only."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["eval", "--word", "ab" * 2500, "--values", "10,11", "--cyclic-regular"], 0),
+        (["eval", "--word", "xy", "--values", "2,3", "--regular"], 1),
+        (["eval", "--word", "", "--values", "2,3"], 2),
+        (["eval", "--values", "2,3"], None),  # usage error: argparse exits
+    ])
+    def test_main_leaves_the_limit_as_it_found_it(self, capsys, argv, code):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4321)
+        try:
+            if code is None:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            assert sys.get_int_max_str_digits() == 4321
+        finally:
+            sys.set_int_max_str_digits(limit)
+        capsys.readouterr()
 
 
 class TestEmptyWordWithoutAlphabet:

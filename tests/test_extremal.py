@@ -649,6 +649,31 @@ class TestExchangeGraph:
         order = graph.topological_order()
         assert len(order) == len(graph.vertices)
 
+    @pytest.mark.parametrize("kind,order", [
+        (SyncKind.PLAIN, "aabccb aabbcc ababcc abbacc aabcbc abcbac abcacb "
+                         "abacbc aacbbc abcabc abbcac"),
+        (SyncKind.ALT, "aabccb aabbcc ababcc abbacc aabcbc aacbbc abcabc "
+                       "abcbac abcacb abacbc abbcac"),
+    ])
+    def test_ternary_222_topological_order(self, abc, kind, order):
+        """Kahn's algorithm takes the last vertex found first, so the order
+        is this one exactly (the exchange-graph demo prints it)."""
+        graph = build_exchange_graph(abc.vector((2, 2, 2)), kind)
+        assert [str(v) for v in graph.topological_order()] == order.split()
+
+    def test_successors_of_a_word_outside_the_graph(self, abc):
+        graph = build_exchange_graph(abc.vector((2, 2, 2)), SyncKind.PLAIN)
+        vertex = graph.vertices[3]
+        assert graph.successors(vertex)  # a vertex with edges: the lookup works
+        outside = (
+            abc.cyclic("aaabbc"),  # another class of the same length
+            CyclicWord(LinearWord(alphabet_of_size(4), vertex.indices)),
+            abc.cyclic("aabbccc"),  # another length
+        )
+        for word in outside:
+            with pytest.raises(KeyError):
+                graph.successors(word)
+
     def test_single_vertex_class(self, ab):
         graph = build_exchange_graph(ab.vector((2, 1)), SyncKind.PLAIN)
         assert len(graph.vertices) == 1
@@ -691,6 +716,10 @@ class TestExchangeGraph:
             graph = build_exchange_graph(alphabet.vector(counts), kind)
             vertices, edges = oracle[kind is SyncKind.ALT]
             assert tuple(v.indices for v in graph.vertices) == vertices
+            assert len(graph.targets) == len(vertices)
+            for targets in graph.targets:  # ascending positions, in range
+                assert targets == tuple(sorted(set(targets))), (counts, kind)
+                assert all(0 <= t < len(vertices) for t in targets), (counts, kind)
             for v in graph.vertices:
                 got = tuple(t.indices for t in graph.successors(v))
                 assert got == edges[v.indices], (counts, kind, v)
