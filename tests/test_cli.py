@@ -515,7 +515,6 @@ class TestDigitLimit:
             assert sys.get_int_max_str_digits() == 4321
         finally:
             sys.set_int_max_str_digits(limit)
-        capsys.readouterr()
 
 
 class TestEmptyWordWithoutAlphabet:
