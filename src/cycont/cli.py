@@ -106,10 +106,10 @@ def _vector_input(args) -> ParikhVector:
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        json.dump(payload, sys.stdout, indent=2)
+        print()
     else:
-        for line in text_lines:
-            print(line)
+        print(*text_lines, sep="\n")
 
 
 # -- subcommands ---------------------------------------------------------------

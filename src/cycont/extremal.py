@@ -32,8 +32,10 @@ the walk yields is scored by ``continuants._cyclic``, as the built
 optima are.
 
 Classification and the graph's edges read their cuts from one
-outside-in mismatch table, ``words._cut_rows``, in O(n^2) time per word,
-so a word past ``CUT_TABLE_CAP`` letters is refused before any is built.
+outside-in mismatch table, ``words._cut_rows``, built per batch of words
+in O(n^2) bit operations per batch: ``classify`` passes one word, the
+graph a batch of its vertices.  A word past ``CUT_TABLE_CAP`` letters is
+refused before its table is built.
 One cap, ``WORK_CAP``, bounds the two enumerating paths.
 """
 
@@ -51,13 +53,13 @@ from .words import (
     CyclicWord,
     LinearWord,
     ParikhVector,
-    _at_rotation,
     _cmp_alt,
     _cmp_lex,
     _cut_rows,
     _known_necklace,
     _least_rotation,
     _necklace_walk,
+    _rotation_table,
     necklace_count,
 )
 
@@ -179,10 +181,11 @@ def reversal_class_representative(omega: CyclicWord) -> CyclicWord:
 # of two between hours).  A graph member cost 130-255 n^3 units through
 # the CLI at 9-16 letters, 30-105 n^3 at 19-43 and 12-37 n^3 at 66-281,
 # against 147-252, 62-126 and 20-45 n^3 charged by 12 n^2 (n + 180),
-# measured before the build read each edge once.  The slowest admitted
-# classes found took up to 26 s (search, 60,1,1,1,1) and 58 s (graph,
-# 7,2,2,2,1, in a slow hour); pinned to one CPU, 7,2,2,2,1 now takes
-# 23 s through the CLI, against 29 s for the earlier build in the same
+# measured before the build read each edge once; every later build costs
+# less.  The slowest admitted classes found took up to 26 s (search,
+# 60,1,1,1,1) and 58 s (graph, 7,2,2,2,1, in a slow hour, on that earlier
+# build); pinned to one CPU, 7,2,2,2,1 now takes 12.0-14.5 s through the
+# CLI, against 19.0-20.3 s with one cut table per vertex in the same
 # hour.  The charge is kept, so every class admitted before still is.
 WORK_CAP = 75_000_000_000
 
@@ -392,6 +395,13 @@ class ExchangeGraph:
         return True
 
 
+# Vertices per batch of the cut table.  Its big-integer steps cost little
+# per vertex from a few hundred lanes on; a batch's target lists and rows
+# grow with it.  On the graph workload's classes, 2,048 raised the build's
+# traced peak from 1.96 to 2.51 MB against 512, and 256 saved no more.
+_BATCH = 512
+
+
 def build_exchange_graph(
     vector: ParikhVector, kind: SyncKind = SyncKind.PLAIN
 ) -> ExchangeGraph:
@@ -401,40 +411,57 @@ def build_exchange_graph(
 
     The build runs on bytes, each letter replaced by its rank among the
     letters that occur, which keeps every comparison and every cut; the
-    work cap admits no class of more than nine letters.  Each edge is read
-    once: the cut (s, m) of u v gives u* v, and its complement (s + m,
-    n - m) gives v* u, the reversal, so the same vertex, and both cuts are
-    apart or neither is.  So only cut lengths m <= n/2 are read."""
+    work cap admits no class of more than nine letters.  Every word it
+    canonicalises is a rotation of a necklace of the class, found in one
+    dict keyed by every rotation of each necklace that starts at the
+    class's rarest letter: a word is looked up from its first rarest
+    letter.  The cut table is built once per batch of vertices.  Each edge
+    is read once: the cut (s, m) of u v gives u* v, and its complement
+    (s + m, n - m) gives v* u, the reversal, so the same vertex, and both
+    cuts are apart or neither is.  So only cut lengths m <= n/2 are read,
+    and at m = n/2 only s < n/2."""
     if vector.total < 1:
         raise ValueError("cannot build the graph of the zero vector")
     _class_size(vector, _graph_cost(vector.total))
-    alphabet = vector.alphabet
     letters = [i for i, c in enumerate(vector.counts) if c]
-    # necklace -> itself, then -> the position of its vertex
-    walk = _necklace_walk([c for c in vector.counts if c])
-    vertex_at = {t: t for t in map(bytes, walk)}
-    # Every word canonicalised below is a rotation of a necklace of the class.
-    keys = [min(t, _at_rotation(vertex_at, t[::-1])) for t in vertex_at]
-    position = {key: i for i, key in enumerate(sorted(set(keys)))}
-    vertex_at = dict(zip(vertex_at, map(position.__getitem__, keys)))
-
-    plain = kind is SyncKind.PLAIN
     n = vector.total
+    # rotation from a rarest letter -> its necklace, then its vertex
+    necklaces, rare, at = _rotation_table([vector.counts[i] for i in letters])
+    # A vertex key is the lesser of a necklace and its reversal's; r
+    # reversed, its last letter moved to the front, is a key of the table.
+    keys = list(necklaces)
+    for r, i in at.items():
+        keys[i] = min(keys[i], necklaces[at[r[:1] + r[:0:-1]]])
+    order = sorted(set(keys))
+    position = {key: i for i, key in enumerate(order)}
+    for r, i in at.items():
+        at[r] = position[keys[i]]
+    del necklaces, keys, position  # the table and the vertex keys stay
+
+    half = ((1 << 2 * n * _BATCH) - 1) // ((1 << 2 * n) - 1) * ((1 << n // 2) - 1)
     targets = []
-    for key in position:
-        d = key + key
-        back = d[::-1]  # back[2n - 1 - i] is d[i]
-        moved: set[bytes] = set()
-        for m, _, plain_apart, alt_apart in _cut_rows(key):
+    for b in range(0, len(order), _BATCH):
+        batch = order[b : b + _BATCH]
+        found = [[] for _ in batch]
+        doubled = [(d, d[::-1]) for d in (key + key for key in batch)]
+        for m, _, plain_apart, alt_apart in _cut_rows(b"".join(batch), n):
             if 2 * m > n:  # read at n - m instead
                 continue
-            apart = plain_apart if plain else alt_apart
-            while apart:  # one edge per set bit s: rotation s, cut at m
-                s = (apart & -apart).bit_length() - 1
-                apart &= apart - 1
+            apart = plain_apart if kind is SyncKind.PLAIN else alt_apart
+            if 2 * m == n:  # the complement (s + m, m) is in this row too
+                apart &= half
+            bits = format(apart, "b")[::-1]
+            i = bits.find("1")
+            while i >= 0:  # one edge per set bit: lane, then rotation s
+                lane, s = divmod(i, 2 * n)
+                d, back = doubled[lane]  # back[2n - 1 - i] is d[i]
                 # u = d[s : s + m] reversed, then v = d[s + m : s + n]
-                moved.add(back[2 * n - s - m : 2 * n - s] + d[s + m : s + n])
-        targets.append(tuple(sorted({_at_rotation(vertex_at, w) for w in moved})))
-    words = [tuple(map(letters.__getitem__, key)) for key in position]
-    vertices = tuple([_known_necklace(alphabet, t) for t in words])
+                w = back[2 * n - s - m : 2 * n - s] + d[s + m : s + n]
+                j = w.find(rare)
+                found[lane].append(at[w[j:] + w[:j]])
+                i = bits.find("1", i + 1)
+        targets += [tuple(sorted(set(f))) for f in found]
+    del at  # before the vertices are built, so the two never coexist
+    words = [tuple(map(letters.__getitem__, key)) for key in order]
+    vertices = tuple([_known_necklace(vector.alphabet, t) for t in words])
     return ExchangeGraph(vector, kind, vertices, tuple(targets))

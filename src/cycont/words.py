@@ -20,7 +20,9 @@ regular ones; the continuants module exposes the quotients used to
 cross-check that empirically.
 
 Every cut of a cyclic word into two non-palindromic parts, synchronizing or
-not under each order, is read from one table, ``_cut_rows``.
+not under each order, is read from one table, ``_cut_rows``, built per
+batch of words of one length: one word to classify, or a batch of a
+class's vertices for its exchange graph.
 
 Cyclic Abelian classes (all cyclic words with a given Parikh vector) are
 enumerated by one FKM-style fixed-content necklace walk, yielding each
@@ -36,9 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import comb, gcd
-from typing import Iterator, Sequence, TypeVar
-
-_V = TypeVar("_V")
+from typing import Iterator, Sequence
 
 
 class Ordering(Enum):
@@ -321,33 +321,25 @@ def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
     return t[k:] + t[:k] if k else t
 
 
-def _at_rotation(table: dict[bytes, _V], w: bytes) -> _V:
-    """Value of ``table`` at the one rotation of w that is among its keys.
+def _rotation_table(counts: Sequence[int]) -> tuple[list, bytes, dict]:
+    """The necklaces of a class with no zero count, as bytes in walk
+    order; the rank of its rarest letter, as one byte; and a dict from
+    every rotation of a necklace that starts at that letter to the
+    necklace's position.
 
-    The keys are least rotations (necklaces), so the key sought is w's
-    least rotation, without Booth's algorithm.  The least letter of w
-    must be 0.  The rotation sought starts a maximal run of 0: one letter
-    inside a run, the rotation a step earlier would be smaller.  So only run starts
-    are tried, found in C as the pairs (other letter, 0) of a byte mask:
-    the cost per lookup grows with the number of runs, not with their
-    length.  A word of one repeated letter has no run start and is its
-    own least rotation.  No value may be None.  KeyError if no rotation
-    is a key.
+    Any rotation w of a necklace is found from its first rarest letter:
+    ``j = w.find(rare)``, then ``table[w[j:] + w[:j]]``.  Where the rarest
+    letter occurs once, the table holds one key per necklace.
     """
-    n = len(w)
-    d = w + w
-    mask = d.translate(_ZERO_MASK)  # 1 where d holds 0, else 0
-    s = mask.find(b"\0\1")  # s + 1 starts a run; starts 1..n cover w
-    while 0 <= s < n:
-        s += 1
-        value = table.get(d[s : s + n])
-        if value is not None:
-            return value
-        s = mask.find(b"\0\1", s)
-    return table[w]
-
-
-_ZERO_MASK = b"\1" + bytes(255)  # translation table: 0 -> 1, others -> 0
+    rare = bytes([counts.index(min(counts))])
+    necklaces = list(map(bytes, _necklace_walk(counts)))
+    table = {}
+    for i, t in enumerate(necklaces):
+        d, j = t + t, t.find(rare)
+        while j >= 0:
+            table[d[j : j + len(t)]] = i
+            j = t.find(rare, j + 1)
+    return necklaces, rare, table
 
 
 def _known_necklace(alphabet: OrderedAlphabet, t: tuple[int, ...]) -> CyclicWord:
@@ -388,12 +380,17 @@ def _bit_planes(t: tuple[int, ...] | bytes) -> list[int]:
     return [int(word.translate(_PLANE_TABLES[j]), 2) for j in bits]
 
 
-def _cut_rows(t: tuple[int, ...] | bytes) -> Iterator[tuple[int, int, int, int]]:
-    """Cut sets of the cyclic word t, from the outside-in mismatch table.
+def _cut_rows(
+    t: tuple[int, ...] | bytes, n: int = 0
+) -> Iterator[tuple[int, int, int, int]]:
+    """Cut sets of a batch of cyclic words, from the outside-in mismatch table.
 
-    Yields (m, cuts, plain, alt) once for each cut length m in 2..n-2, in
-    no fixed order.  Bit s of each set is the cut of rotation s at m, for s
-    below the least period (the first p starts are the distinct rotations):
+    t is the batch: words of n letters each, one after another (one word
+    if n is 0); a batch of more than one word is bytes.  Yields (m, cuts,
+    plain, alt) once for each cut length m in 2..n-2, in no fixed order.
+    Word i is lane i of every set, at bits 2 i n to 2 i n + n - 1: bit
+    2 i n + s is the cut of the word's rotation s at m, for s below its
+    least period (the first p starts are the distinct rotations).
     ``cuts`` holds the admissible cuts, ``plain`` and ``alt`` the
     non-synchronizing ones.  Rows past an early stop are never built.
 
@@ -403,22 +400,30 @@ def _cut_rows(t: tuple[int, ...] | bytes) -> Iterator[tuple[int, int, int, int]]
     the factor (s + 1, L - 2).  The plain order is decided by the letters
     at k, the alternating order by the same flipped when k is odd, and
     k >= L // 2 means a palindrome, an inadmissible part.  So row L, three
-    n-bit sets over all starts (not a palindrome, plain-less and
+    sets over all starts (not a palindrome, plain-less and
     alternating-less than the reversal), is a few shifts and masks per
     letter bit-plane over row L - 2, and a cut length reads two rows.  That
-    is O(n^2) time as O(n) bit operations per row, and a row is kept only
-    until its partner length n - L arrives: at most n/2 rows of 3n bits.
+    is O(n^2) time per batch as O(n) bit operations per row, and a row is
+    kept only until its partner length n - L arrives: at most n/2 rows of
+    three sets.
     """
-    n = len(t)
+    n = n or len(t)
     if n < 4:  # every cut has a one-letter, palindromic part
         return
-    full = (1 << n) - 1
+    lanes = len(t) // n
     # Rotation by d, inline: bit s of ((x >> d) | (x << (n - d))) & full is
-    # bit (s + d) mod n of x.  The mask is left out where an & with a
-    # masked set follows.
-    planes = _bit_planes(t)
-    p = next(d for d in range(1, n + 1) if n % d == 0 and t[d:] == t[: n - d])
-    starts = (1 << p) - 1
+    # bit (s + d) mod n of x, in every lane, because the n clear bits after
+    # a lane take what its rotation spills and nothing else reaches it.
+    # The mask is left out where an & with a masked set follows.
+    full = ((1 << 2 * n * lanes) - 1) // ((1 << 2 * n) - 1) * ((1 << n) - 1)
+    planes = _bit_planes(
+        t if lanes == 1 else bytes(n).join(t[i : i + n] for i in range(0, len(t), n)))
+    starts = full
+    for i in range(lanes):  # each word's least period p
+        w = t[i * n : i * n + n]
+        p = next(d for d in range(1, n + 1) if n % d == 0 and w[d:] == w[: n - d])
+        if p < n:
+            starts ^= ((1 << n) - (1 << p)) << (2 * n * i)
     older = old = (0, 0, 0)  # rows 0 and 1: every factor is a palindrome
     waiting = {}
     for L in range(2, n - 1):

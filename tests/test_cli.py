@@ -546,3 +546,82 @@ class TestRoundTrip:
         for entry in payload["optima"]:
             again = alphabet.cyclic(entry["word"])
             assert str(again) == entry["word"]
+
+
+class TestJsonBytes:
+    """The exact stdout of two JSON calls, pinned byte for byte: indent,
+    key order, separators and the trailing newline."""
+
+    GRAPH_211 = """{
+  "vector": [
+    2,
+    1,
+    1
+  ],
+  "alphabet": [
+    "a",
+    "b",
+    "c"
+  ],
+  "kind": "plain",
+  "vertices": [
+    "aabc",
+    "abac"
+  ],
+  "edges": {
+    "aabc": [
+      "abac"
+    ],
+    "abac": []
+  },
+  "sources": [
+    "aabc"
+  ],
+  "sinks": [
+    "abac"
+  ],
+  "acyclic": true,
+  "edge_count": 1
+}
+"""
+
+    SEARCH_221 = """{
+  "vector": [
+    2,
+    2,
+    1
+  ],
+  "alphabet": [
+    "a",
+    "b",
+    "c"
+  ],
+  "values": [
+    2,
+    3,
+    5
+  ],
+  "valuation": "semiregular",
+  "direction": "max",
+  "value": 79,
+  "class_size": 6,
+  "unique_up_to_reversal": true,
+  "optima": [
+    {
+      "word": "abbac",
+      "in_S": true,
+      "in_S_alt": true,
+      "in_U": false,
+      "in_U_alt": false
+    }
+  ]
+}
+"""
+
+    def test_graph(self, capsys):
+        assert run(capsys, "graph", "--vector", "2,1,1") == (0, self.GRAPH_211, "")
+
+    def test_search(self, capsys):
+        argv = ("search", "--vector", "2,2,1", "--values", "2,3,5",
+                "--semiregular", "--max")
+        assert run(capsys, *argv) == (0, self.SEARCH_221, "")

@@ -740,6 +740,18 @@ class TestExchangeGraph:
         step over), and classes with vertices of period below n."""
         self._assert_matches_cut_oracle(counts)
 
+    @pytest.mark.parametrize("counts", [(2, 2), (3, 3, 3), (2, 2, 1, 1), (0, 3, 0, 2),
+                                        (1, 1, 1), (2, 2, 2, 2), (3, 1, 2, 1, 1)])
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_small_batches_match_the_cut_oracle(self, monkeypatch, counts, batch):
+        """The cut table built for batches of one and of seven vertices, so
+        that batch ends fall inside every class of more than seven:
+        vertices and edges as the oracle's.  The classes have the rarest
+        letter in runs, tied rarest letters, zero counts, fewer than four
+        letters, and periodic vertices."""
+        monkeypatch.setattr(extremal, "_BATCH", batch)
+        self._assert_matches_cut_oracle(counts)
+
     @pytest.mark.parametrize("letters,max_len", [(2, 10), (3, 10), (4, 8)])
     def test_a_cut_and_its_complement_give_one_edge(self, letters, max_len):
         """The rule the build's halving rests on, read from the slicing

@@ -1,18 +1,21 @@
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycont import extremal
 from cycont.words import (
     CyclicWord,
     LinearWord,
     OrderedAlphabet,
     Ordering,
     ParikhVector,
-    _at_rotation,
+    _cut_rows,
     _known_necklace,
     _necklace_walk,
+    _rotation_table,
     alphabet_of_size,
     compare_alt,
     compare_lex,
@@ -285,38 +288,126 @@ class TestCanonicalize:
                 assert known.parikh() == booth.parikh()
 
 
-class TestAtRotation:
-    """The rotation lookup against least rotations by brute force."""
+class TestRotationTable:
+    """The rarest-letter table against least rotations by brute force."""
+
+    @staticmethod
+    def _necklace_of(table_of, w):
+        necklaces, rare, table = table_of
+        j = w.find(rare)
+        return necklaces[table[w[j:] + w[:j]]]
 
     @pytest.mark.parametrize("letters,max_len", [(1, 5), (2, 10), (3, 7), (4, 6)])
     def test_finds_the_least_rotation_of_every_word(self, letters, max_len):
-        """The keys are every necklace of the length; the values are their
-        ranks, so the first is 0 and still found.  Every word whose least
-        letter is 0, as bytes."""
-        for n in range(1, max_len + 1):
-            words = [t for t in product(range(letters), repeat=n) if 0 in t]
-            necklaces = sorted({naive_canonical(t) for t in words})
-            rank = {bytes(c): i for i, c in enumerate(necklaces)}
-            for t in words:
-                assert necklaces[_at_rotation(rank, bytes(t))] == naive_canonical(t)
+        """Every word that holds each letter, as bytes, from the table of
+        its content."""
+        for n in range(letters, max_len + 1):
+            by_content = {}
+            for t in product(range(letters), repeat=n):
+                counts = tuple(t.count(c) for c in range(letters))
+                if all(counts):
+                    by_content.setdefault(counts, []).append(t)
+            for counts, words in by_content.items():
+                table_of = _rotation_table(counts)
+                for t in words:
+                    assert self._necklace_of(table_of, bytes(t)) == bytes(
+                        naive_canonical(t))
 
     @pytest.mark.parametrize("counts", [(12, 1, 1), (1, 1, 12), (5, 5), (3, 2, 1, 3)])
     def test_long_and_many_runs(self, counts):
-        """Classes with long runs of 0, one run, and many: every rotation of
-        every necklace and of its reversal."""
-        necklaces = [bytes(t) for t in _necklace_walk(counts)]
-        rank = {c: i for i, c in enumerate(necklaces)}
-        for c in necklaces:
+        """Classes with long runs of the rarest letter, one run, and many:
+        every rotation of every necklace and of its reversal."""
+        table_of = _rotation_table(counts)
+        for c in table_of[0]:
             for w in (c, c[::-1]):
                 for s in range(len(w)):
                     r = w[s:] + w[:s]
-                    assert necklaces[_at_rotation(rank, r)] == bytes(naive_canonical(tuple(r)))
+                    assert self._necklace_of(table_of, r) == bytes(
+                        naive_canonical(tuple(r)))
 
     def test_a_word_with_no_rotation_among_the_keys(self):
+        table_of = _rotation_table((2, 1))
+        assert table_of[1] == b"\1"
         with pytest.raises(KeyError):
-            _at_rotation({b"\0\0\1": "x"}, b"\0\1\1")
-        with pytest.raises(KeyError):
-            _at_rotation({b"\1\1\1": "x"}, b"\0\0\0")
+            self._necklace_of(table_of, b"\0\1\1")
+
+    @pytest.mark.parametrize("counts", [
+        (2, 2), (3, 3, 3), (2, 2, 1, 1), (3, 2), (1, 1, 1), (4, 4), (2, 2, 2, 2),
+    ])
+    def test_every_rotation_maps_to_its_own_necklace(self, counts):
+        """Runs of the rarest letter (2,2 and 3,3,3), ties for it (2,2,1,1),
+        the content of 0,3,0,2 and a word below four letters.  The keys are
+        exactly the rotations that start at the rarest letter, and each
+        maps to the position of its necklace in walk order."""
+        necklaces, rare, table = _rotation_table(counts)
+        assert rare == bytes([counts.index(min(counts))])
+        assert necklaces == [bytes(t) for t in _necklace_walk(counts)]
+        expected = {}
+        for i, c in enumerate(necklaces):
+            for s in range(len(c)):
+                r = c[s:] + c[:s]
+                assert self._necklace_of((necklaces, rare, table), r) == c
+                if r[:1] == rare:
+                    expected[r] = i
+        assert table == expected
+
+    @pytest.mark.parametrize("counts", [(4, 3, 1), (1, 5), (2, 1, 3, 3), (7,)])
+    def test_one_key_per_necklace_where_the_rarest_letter_occurs_once(self, counts):
+        necklaces, _, table = _rotation_table(counts)
+        assert len(table) == len(necklaces)
+
+
+class TestCutRowLanes:
+    """``_cut_rows`` on a batch of words, lane by lane, against each word
+    alone."""
+
+    @staticmethod
+    def _single(w):
+        return {m: tuple(sets) for m, *sets in _cut_rows(w)}
+
+    @classmethod
+    def _assert_lanes_match(cls, words):
+        n = len(words[0])
+        lanes = [{} for _ in words]
+        mask = (1 << n) - 1
+        for m, *sets in _cut_rows(b"".join(words), n):
+            for i, rows in enumerate(lanes):
+                rows[m] = tuple(x >> (2 * i * n) & mask for x in sets)
+        for w, rows in zip(words, lanes):
+            assert rows == cls._single(w), w
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 10, 12])
+    def test_periodic_lanes_among_aperiodic_ones(self, n):
+        """Powers of 01 and 001 read only their first p starts."""
+        words = [bytes(i % p == p - 1 for i in range(n))
+                 for p in (2, 3) if n % p == 0]
+        words += [bytes([0] * (n - 1) + [1]), bytes([1] * n), bytes(range(n))]
+        self._assert_lanes_match(words[::-1] + words)
+
+    @pytest.mark.parametrize("n", [4, 5, 10])
+    @pytest.mark.parametrize("top", [1, 2, 3, 8])
+    def test_random_lanes(self, n, top):
+        """Letter ranks up to 8, so up to four bit-planes."""
+        rng = random.Random(n * 10 + top)
+        words = [bytes(rng.randint(0, top) for _ in range(n)) for _ in range(60)]
+        self._assert_lanes_match(words)
+
+    @pytest.mark.parametrize(
+        "w", [b"\0\1\0\2", b"\0\0\1\0\1", bytes([3, 1, 4, 1, 5, 0, 2, 6, 5, 3])])
+    def test_a_batch_of_one(self, w):
+        assert self._single(w) == {
+            m: tuple(sets) for m, *sets in _cut_rows(w, len(w))}
+        self._assert_lanes_match([w])
+
+    def test_a_batch_longer_than_the_graph_build_batch(self):
+        rng = random.Random(7)
+        words = [bytes(rng.randint(0, 3) for _ in range(7))
+                 for _ in range(extremal._BATCH + 3)]
+        self._assert_lanes_match(words)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_words_below_four_letters_have_no_rows(self, n):
+        assert list(_cut_rows(bytes(range(n)) * 3, n)) == []
 
 
 class TestEnumerateClass:
