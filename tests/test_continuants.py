@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycont import continuants
 from cycont.continuants import (
     _LEAF,
     DomainError,
+    _cyclic,
+    _palindrome,
+    _product,
+    _word_vals,
     cf_value,
     continuant_regular,
     continuant_semiregular,
@@ -272,3 +277,119 @@ class TestMonotonicity:
                     continue
                 bumped = tuple(v + (i == j) for i, v in enumerate(base))
                 assert continuant_regular(w, bumped) > continuant_regular(w, base)
+
+
+def palindrome(rng, n, letters=(2, 3, 4, 5)):
+    half = [rng.choice(letters) for _ in range(n // 2)]
+    middle = [rng.choice(letters)] if n % 2 else []
+    return half + middle + half[::-1]
+
+
+def count_palindrome_products(monkeypatch):
+    """Calls of ``_palindrome``, counted while it keeps computing."""
+    calls = []
+
+    def counted(vals, sign):
+        calls.append(len(vals))
+        return real(vals, sign)
+
+    real = continuants._palindrome
+    monkeypatch.setattr(continuants, "_palindrome", counted)
+    return calls
+
+
+class TestCyclicPalindromes:
+    """Words that are a product of two palindromes p q, which the cyclic
+    evaluator finds above the leaf and evaluates from half their letters:
+    bit-identical to the oracles and to the general path over a tuple."""
+
+    @pytest.mark.parametrize("n", [60, 63, 64, 65, 66, 67, 100, 127, 128, 129, 130, 199, 200])
+    def test_every_split(self, monkeypatch, n):
+        """p = vals[:r] and q = vals[r:], r = 0 included; r and n - r odd
+        and even as r runs."""
+        rng = random.Random(n)
+        calls = count_palindrome_products(monkeypatch)
+        for r in range(n):
+            vals = palindrome(rng, r) + palindrome(rng, n - r)
+            for sign in (1, -1):
+                got = _cyclic(bytes(vals), sign)
+                assert got == cyclic_by_definition(vals, sign), (n, r, sign)
+                assert got == _cyclic(tuple(vals), sign), (n, r, sign)
+        assert len(calls) == (4 * n if n > _LEAF else 0)
+
+    @pytest.mark.parametrize("n", [65, 130, 201])
+    def test_rotations(self, monkeypatch, n):
+        """Each rotation of a product of two palindromes is another one, so
+        every rotation takes the palindromic path, to the same value."""
+        rng = random.Random(n + 1)
+        calls = count_palindrome_products(monkeypatch)
+        vals = palindrome(rng, n // 3) + palindrome(rng, n - n // 3)
+        for sign in (1, -1):
+            expect = cyclic_by_definition(vals, sign)
+            for i in range(0, n, 7):
+                assert _cyclic(bytes(vals[i:] + vals[:i]), sign) == expect, (i, sign)
+        assert len(calls) == 2 * 2 * len(range(0, n, 7))
+
+    @pytest.mark.parametrize(
+        "counts,values",
+        [((276, 1224), (4, 7)), ((130, 1036, 34), (2, 3, 5)),
+         ((1842, 93, 95, 470), (2, 3, 7, 255)), ((1720, 1390, 1890), (3, 5, 6))],
+    )
+    def test_constructed_singular_words(self, monkeypatch, counts, values):
+        """The constructor's outcomes are cyclic palindromes, 1k-5k letters."""
+        from cycont import alphabet_of_size, construct_singular
+
+        word, _ = construct_singular(alphabet_of_size(len(counts), values).vector(counts))
+        assert word is not None and len(word) == sum(counts)
+        calls = count_palindrome_products(monkeypatch)
+        vals = tuple(values[i] for i in word.indices)
+        assert cyclic_regular(word) == cyclic_by_definition(vals, 1) == _cyclic(vals, 1)
+        assert cyclic_semiregular(word) == cyclic_by_definition(vals, -1) == _cyclic(vals, -1)
+        assert len(calls) == 4
+
+    def test_non_palindromes_take_the_general_path(self, monkeypatch):
+        """No rotation of these words is a palindrome: the reversal of
+        2 3 ... is not a factor of the doubled word."""
+        rng = random.Random(9)
+        calls = count_palindrome_products(monkeypatch)
+        for n in (_LEAF + 1, 100, 1_000):
+            vals = [2, 3] + [rng.choice((2, 3, 4, 5)) for _ in range(n - 2)]
+            assert bytes(vals + vals).find(bytes(vals[::-1])) < 0, n
+            for sign in (1, -1):
+                assert _cyclic(bytes(vals), sign) == cyclic_by_definition(vals, sign)
+        assert calls == []
+
+    def test_values_past_a_byte_take_the_general_path(self, monkeypatch):
+        """A value of 256 or more: the values stay a tuple, and a palindromic
+        word is multiplied out whole."""
+        rng = random.Random(10)
+        calls = count_palindrome_products(monkeypatch)
+        alphabet = OrderedAlphabet(("a", "b", "c"), (2, 255, 256))
+        for n in (_LEAF + 1, 150, 2_001):
+            t = tuple(palindrome(rng, n, letters=(0, 1, 2)))
+            assert 2 in t
+            vals = _word_vals(t, alphabet.values)
+            assert vals == tuple(alphabet.values[i] for i in t)
+            omega = CyclicWord(LinearWord(alphabet, t))
+            assert cyclic_regular(omega) == cyclic_by_definition(vals, 1)
+            assert cyclic_semiregular(omega) == cyclic_by_definition(vals, -1)
+        assert calls == []
+
+    @pytest.mark.parametrize("alphabet", [V2345, OrderedAlphabet(("a", "b"), (1, 255))])
+    def test_byte_values_match_the_letters(self, alphabet):
+        rng = random.Random(11)
+        for n in (0, 1, 64, 300):
+            t = tuple(rng.randrange(len(alphabet)) for _ in range(n))
+            vals = _word_vals(t, alphabet.values)
+            assert isinstance(vals, bytes)
+            assert tuple(vals) == tuple(alphabet.values[i] for i in t)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_half_product_symmetry(self, sign):
+        """A palindrome's product is [[A, sign B], [B, C]], as ``_product``
+        computes it, odd and even lengths across the leaf."""
+        rng = random.Random(12 + sign)
+        for n in list(range(0, 12)) + [2 * _LEAF - 1, 2 * _LEAF, 2 * _LEAF + 1, 2 * _LEAF + 2, 301]:
+            vals = bytes(palindrome(rng, n))
+            A, B, C = _palindrome(vals, sign)
+            assert _product(vals, sign) == (A, sign * B, B, C), n
