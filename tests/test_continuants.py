@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycont import continuants
+from cycont import alphabet_of_size, construct_singular, continuants
 from cycont.continuants import (
     _LEAF,
     DomainError,
@@ -337,8 +337,6 @@ class TestCyclicPalindromes:
     )
     def test_constructed_singular_words(self, monkeypatch, counts, values):
         """The constructor's outcomes are cyclic palindromes, 1k-5k letters."""
-        from cycont import alphabet_of_size, construct_singular
-
         word, _ = construct_singular(alphabet_of_size(len(counts), values).vector(counts))
         assert word is not None and len(word) == sum(counts)
         calls = count_palindrome_products(monkeypatch)
@@ -348,8 +346,8 @@ class TestCyclicPalindromes:
         assert len(calls) == 4
 
     def test_non_palindromes_take_the_general_path(self, monkeypatch):
-        """No rotation of these words is a palindrome: the reversal of
-        2 3 ... is not a factor of the doubled word."""
+        """Words with no rotation that is a product of two palindromes: the
+        reversal is not a factor of the doubled word."""
         rng = random.Random(9)
         calls = count_palindrome_products(monkeypatch)
         for n in (_LEAF + 1, 100, 1_000):
