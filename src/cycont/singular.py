@@ -34,7 +34,7 @@ and a table turns each code into b or a gap byte, which is interleaved with
 the letters and then deleted.  Alphabets of more than 255 letters, which
 only the library can make, take the same steps over lists.
 
-The unwinding runs no Booth pass.  For a necklace t (t is its own least
+The unwinding runs no least-rotation pass.  For a necklace t (t is its own least
 rotation) ``_xi_cyclic(b, t)`` returns a representative y of xi_b(t), and
 the least rotation of xi_b(t) is one fixed rotation of y
 (``_xi_necklace``):
@@ -50,8 +50,8 @@ Why it holds: the least rotation of y starts a run of y's least letter.
 Each such start is the image of a matching start in t, and xi_b keeps the
 order of words of equal length.  t begins at its least start, so the
 start of y that the rules above move to the front, the image of t's first
-letter, begins y's least rotation.  A test checks the rule against Booth's
-algorithm on every necklace over 2-5 letters up to lengths 14/9/7/6.
+letter, begins y's least rotation.  A test checks the rule against
+``words.least_rotation_index`` (Duval's algorithm) on every necklace over 2-5 letters up to lengths 14/9/7/6.
 
 One descent detail: when the remaining vector is a pair of equal counts
 n(e_x + e_y), both letters satisfy the descent inequality with opposite
@@ -212,7 +212,8 @@ def _xi_cyclic(b: int, t: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _xi_necklace(b: int, t: tuple[int, ...]) -> tuple[int, ...]:
-    """The least rotation of xi_b(t) for a necklace t, without Booth.
+    """The least rotation of xi_b(t) for a necklace t, with no
+    least-rotation pass.
 
     ``_xi_cyclic`` returns the image y from t itself, so only a fixed
     rotation of y is needed (see the module docstring): none when b lies
@@ -295,7 +296,7 @@ class ConstructionTrace:
 
     ``words`` runs from the seed to the outcome.  Each word is built as its
     own least rotation, so it is canonical as it comes out of the unwinding;
-    no Booth pass runs on it.
+    no least-rotation pass runs on it.
     """
 
     start: ParikhVector
@@ -333,7 +334,8 @@ def construct_singular(
     the terminal vector is a power of that letter, in which case the word
     is recovered by unwinding the insertion maps from the constant seed.
     Each unwound word is the known rotation ``_xi_necklace`` picks, so the
-    outcome and the trace words come out canonical without a Booth pass.
+    outcome and the trace words come out canonical without a least-rotation
+    pass.
     On failure the outcome is None and the trace records the descent.
     Raises DomainError once the descent area passes DESCENT_AREA_CAP.
     """

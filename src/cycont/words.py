@@ -2,7 +2,8 @@
 
 Words live over a finite totally ordered alphabet.  A cyclic word is the
 rotation class of a nonempty linear word, stored through its canonical
-representative (the least rotation, found with Booth's algorithm).
+representative (the least rotation, found with Duval's Lyndon
+factorization).
 
 Two total orders on linear words are provided.  Both compare by the first
 differing position and both carry a non-standard rule for prefix pairs:
@@ -187,15 +188,9 @@ class CyclicWord:
         if k:
             t = t[k:] + t[:k]
             object.__setattr__(self, "word", LinearWord(self.word.alphabet, t))
-        # A word in a dict or set is hashed at every lookup; the generated
-        # hash would rebuild it through LinearWord and OrderedAlphabet each time.
-        object.__setattr__(self, "_hash", hash(t))
 
     def __len__(self) -> int:
         return len(self.word)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return str(self.word)
@@ -293,27 +288,24 @@ def compare_alt(u: LinearWord, v: LinearWord) -> Ordering:
 # -- rotations and canonical form --------------------------------------------
 
 def least_rotation_index(t: Sequence[int]) -> int:
-    """Index of the lexicographically least rotation (Booth's algorithm)."""
-    n = len(t)
-    if n <= 1:
-        return 0
-    s = tuple(t) + tuple(t)
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k % n
+    """Smallest start of the lexicographically least rotation, by Duval's
+    Lyndon factorization of t t (J.-P. Duval, "Factorizing words over an
+    ordered alphabet", J. Algorithms 4, 1983).
+
+    Each pass of the outer loop reads one run of equal Lyndon factors
+    starting at i; the least rotation starts at the last run that begins
+    inside t.  A word of at most one letter gives 0.
+    """
+    n, s = len(t), tuple(t) * 2
+    i = start = 0
+    while i < n:
+        start, j, k = i, i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return start
 
 
 def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -344,10 +336,10 @@ def _rotation_table(counts: Sequence[int]) -> tuple[list, bytes, dict]:
 
 def _known_necklace(alphabet: OrderedAlphabet, t: tuple[int, ...]) -> CyclicWord:
     """``CyclicWord(LinearWord(alphabet, t))`` for a t that is already its
-    least rotation, without the Booth pass; it compares and hashes equal."""
+    least rotation, without the least-rotation pass; it compares and
+    hashes equal."""
     omega = object.__new__(CyclicWord)
     object.__setattr__(omega, "word", LinearWord(alphabet, t))
-    object.__setattr__(omega, "_hash", hash(t))
     return omega
 
 

@@ -45,7 +45,12 @@ from cycont.words import (
     split_points,
 )
 
-from oracles import interval_midpoint, nonnegative_compositions, split_identity_check
+from oracles import (
+    cyclic_by_definition,
+    interval_midpoint,
+    nonnegative_compositions,
+    split_identity_check,
+)
 
 AB5 = alphabet_of_size(5, values=(2, 3, 4, 5, 6))
 ABCD = alphabet_of_size(4)
@@ -445,3 +450,36 @@ def test_criterion_7_binary_triple_equivalence():
                 assert singular == balanced == (omega == chris)
                 checked += 1
     _ok("criterion 7: binary equivalence", f"{checked} words")
+
+
+def test_criterion_8_semiregular_max_moves_with_values():
+    """The semi-regular maximum of (1,2,1,2,1) depends on the values and
+    not just on their order: two value sets in the same order pick two
+    different reversal pairs, and a third ties all four singular words.
+    Each value is checked by the definition, the maximum against every
+    member of the class (180 necklaces), and each optimum's in_S flag."""
+    expected = {
+        (2, 3, 4, 5, 6): (6098, ["adcbdbe", "aebdbcd"], True),
+        (5, 12, 14, 22, 53): (250571372, ["adbdcbe", "aebcdbd"], True),
+        (2, 3, 4, 5, 10): (
+            10898, ["adbdcbe", "adcbdbe", "aebcdbd", "aebdbcd"], False),
+    }
+    for values, (value, optima, unique) in expected.items():
+        alphabet = alphabet_of_size(5, values=values)
+        vector = alphabet.vector((1, 2, 1, 2, 1))
+        report = search(vector, valuation="semiregular", direction="max")
+        assert report.value == value
+        assert [str(w) for w in report.optima] == optima
+        assert report.unique_up_to_reversal is unique
+        assert report.class_size == 180
+        by_definition = {
+            str(w): cyclic_by_definition([values[i] for i in w.indices], -1)
+            for w in enumerate_class(vector)
+        }
+        assert len(by_definition) == 180
+        assert max(by_definition.values()) == value
+        assert sorted(w for w, v in by_definition.items() if v == value) == optima
+        for w in report.optima:
+            assert classify(w).in_S
+        assert all(c.in_S for c in report.certificates)
+    _ok("criterion 8: value-dependent maximum", "three value sets on (1,2,1,2,1)")

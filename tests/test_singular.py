@@ -192,8 +192,8 @@ class TestXiCyclic:
 
     def test_necklace_rule_matches_booth(self):
         """The fixed rotation ``_xi_necklace`` picks is the least rotation
-        Booth's algorithm finds, for every necklace over 2-5 letters up to
-        lengths 14/9/7/6 and every letter: 46,847 pairs."""
+        ``least_rotation_index`` finds, for every necklace over 2-5 letters
+        up to lengths 14/9/7/6 and every letter: 46,847 pairs."""
         pairs = 0
         for k, longest in ((2, 14), (3, 9), (4, 7), (5, 6)):
             for n in range(1, longest + 1):

@@ -20,6 +20,7 @@ from cycont.words import (
     compare_alt,
     compare_lex,
     enumerate_class,
+    least_rotation_index,
     necklace_count,
     split_points,
 )
@@ -278,14 +279,56 @@ class TestCanonicalize:
                 if t != naive_canonical(t):
                     continue
                 known = _known_necklace(alphabet, t)
-                booth = CyclicWord(LinearWord(alphabet, t))
-                assert known == booth and booth == known
-                assert hash(known) == hash(booth)
-                assert {known: 1}[booth] == 1
+                gated = CyclicWord(LinearWord(alphabet, t))
+                assert known == gated and gated == known
+                assert hash(known) == hash(gated)
+                assert {known: 1}[gated] == 1
                 assert (str(known), repr(known), len(known)) == (
-                    str(booth), repr(booth), len(booth))
-                assert known.reverse() == booth.reverse()
-                assert known.parikh() == booth.parikh()
+                    str(gated), repr(gated), len(gated))
+                assert known.reverse() == gated.reverse()
+                assert known.parikh() == gated.parikh()
+
+
+def _least_start(t: tuple) -> int:
+    """Smallest i whose rotation t[i:] + t[:i] is least, by slicing."""
+    return min(range(len(t)), key=lambda i: t[i:] + t[:i], default=0)
+
+
+_N = 2000
+_LONG_SHAPES = {
+    "constant": (0,) * _N,
+    "a^n b": (0,) * (_N - 1) + (1,),
+    "b a^n": (1,) + (0,) * (_N - 1),
+    "(ab)^n": (0, 1) * (_N // 2),
+    "(a^3 b)^m": (0, 0, 0, 1) * (_N // 4),
+    "(a^7 b)^m": ((0,) * 7 + (1,)) * (_N // 8),
+    "ascending": tuple(range(_N)),
+    "descending": tuple(range(_N - 1, -1, -1)),
+    "above 255": tuple(random.Random(5).choices(range(256, 260), k=_N)),
+}
+
+
+class TestLeastRotationIndex:
+    """``least_rotation_index`` against the smallest start of the least
+    rotation found by slicing every rotation."""
+
+    @pytest.mark.parametrize("letters,max_len", [(1, 8), (2, 14), (3, 9), (4, 7)])
+    def test_every_word(self, letters, max_len):
+        for n in range(max_len + 1):
+            for t in product(range(letters), repeat=n):
+                assert least_rotation_index(t) == _least_start(t), t
+
+    def test_empty_and_one_letter(self):
+        assert least_rotation_index(()) == 0
+        assert least_rotation_index((3,)) == 0
+        assert least_rotation_index([300]) == 0
+
+    @pytest.mark.parametrize("shape", sorted(_LONG_SHAPES))
+    def test_long_shapes_and_their_rotations(self, shape):
+        t = _LONG_SHAPES[shape]
+        for r in (0, 1, 999, 1000, 1999):
+            rotated = t[r:] + t[:r]
+            assert least_rotation_index(rotated) == _least_start(rotated), r
 
 
 class TestRotationTable:
@@ -451,12 +494,12 @@ class TestEnumerateClass:
     @pytest.mark.parametrize("counts", [(0, 5), (6, 6), (3, 2, 1, 2, 2), (1, 1, 6, 1)])
     def test_yields_least_rotations_as_cyclic_words(self, counts):
         """Each word is its own least rotation, by brute force, and equals
-        and hashes like the same tuple canonicalised by Booth."""
+        and hashes like the same tuple canonicalised by ``CyclicWord``."""
         alphabet = alphabet_of_size(len(counts))
         for w in enumerate_class(alphabet.vector(counts)):
             assert w.indices == naive_canonical(w.indices)
-            booth = CyclicWord(LinearWord(alphabet, w.indices))
-            assert w == booth and hash(w) == hash(booth)
+            gated = CyclicWord(LinearWord(alphabet, w.indices))
+            assert w == gated and hash(w) == hash(gated)
 
     @pytest.mark.parametrize(
         "letters,max_total",
