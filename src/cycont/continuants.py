@@ -56,13 +56,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Literal, Sequence
 
-from .words import CyclicWord, LinearWord, OrderedAlphabet
+from .words import CyclicWord, DomainError, LinearWord, OrderedAlphabet
 
 Kind = Literal["regular", "semiregular"]
-
-
-class DomainError(ValueError):
-    """A value assignment outside the domain of the requested continuant."""
 
 
 def _check_kind(kind: str) -> None:

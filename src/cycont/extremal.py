@@ -34,8 +34,9 @@ optima are.
 Classification and the graph's edges read their cuts from one
 outside-in mismatch table, ``words._cut_rows``, built per batch of words
 in O(n^2) bit operations per batch: ``classify`` passes one word, the
-graph a batch of its vertices.  A word past ``CUT_TABLE_CAP`` letters is
-refused before its table is built.
+graph a batch of its vertices.  The table yields each factorization
+once, as the cut of length m <= n/2, and refuses a word past
+``CUT_TABLE_CAP`` letters before it builds a row, for every caller.
 One cap, ``WORK_CAP``, bounds the two enumerating paths.
 """
 
@@ -47,10 +48,10 @@ from enum import Enum
 from itertools import chain, groupby
 from typing import Literal, Sequence
 
-from .continuants import DomainError, _cyclic, resolve_values
+from .continuants import _cyclic, resolve_values
 from .words import (
-    CUT_TABLE_CAP,
     CyclicWord,
+    DomainError,
     LinearWord,
     ParikhVector,
     _cmp_alt,
@@ -60,6 +61,7 @@ from .words import (
     _least_rotation,
     _necklace_walk,
     _rotation_table,
+    _within_cut_table_cap,
     necklace_count,
 )
 
@@ -116,19 +118,11 @@ def is_synchronizing(
     return (cmp(a, a[::-1]) < 0) == (cmp(b, b[::-1]) < 0)
 
 
-def _within_cut_table_cap(n: int) -> None:
-    """Raise DomainError if a word of n letters is longer than CUT_TABLE_CAP."""
-    if n > CUT_TABLE_CAP:
-        raise DomainError(
-            f"word of {n} letters exceeds the cut-table cap ({CUT_TABLE_CAP})"
-        )
-
-
 def classify(omega: CyclicWord) -> ClassMembership:
     """Membership in S, S_alt, U, U_alt; vacuously all true if no split exists.
 
-    Raises DomainError on a word longer than CUT_TABLE_CAP."""
-    _within_cut_table_cap(len(omega))
+    Raises DomainError on a word longer than CUT_TABLE_CAP, from the cut
+    table, before it is built."""
     in_s = in_s_alt = in_u = in_u_alt = True
     for _, cuts, plain, alt in _cut_rows(omega.indices):
         in_s = in_s and not plain
@@ -415,11 +409,10 @@ def build_exchange_graph(
     canonicalises is a rotation of a necklace of the class, found in one
     dict keyed by every rotation of each necklace that starts at the
     class's rarest letter: a word is looked up from its first rarest
-    letter.  The cut table is built once per batch of vertices.  Each edge
-    is read once: the cut (s, m) of u v gives u* v, and its complement
-    (s + m, n - m) gives v* u, the reversal, so the same vertex, and both
-    cuts are apart or neither is.  So only cut lengths m <= n/2 are read,
-    and at m = n/2 only s < n/2."""
+    letter.  The cut table is built once per batch of vertices, and it
+    yields each factorization once, so each edge is read once: the cut
+    (s, m) of u v gives u* v, and its complement (s + m, n - m) gives v* u,
+    the reversal, so the same vertex."""
     if vector.total < 1:
         raise ValueError("cannot build the graph of the zero vector")
     _class_size(vector, _graph_cost(vector.total))
@@ -438,18 +431,13 @@ def build_exchange_graph(
         at[r] = position[keys[i]]
     del necklaces, keys, position  # the table and the vertex keys stay
 
-    half = ((1 << 2 * n * _BATCH) - 1) // ((1 << 2 * n) - 1) * ((1 << n // 2) - 1)
     targets = []
     for b in range(0, len(order), _BATCH):
         batch = order[b : b + _BATCH]
         found = [[] for _ in batch]
         doubled = [(d, d[::-1]) for d in (key + key for key in batch)]
         for m, _, plain_apart, alt_apart in _cut_rows(b"".join(batch), n):
-            if 2 * m > n:  # read at n - m instead
-                continue
             apart = plain_apart if kind is SyncKind.PLAIN else alt_apart
-            if 2 * m == n:  # the complement (s + m, m) is in this row too
-                apart &= half
             bits = format(apart, "b")[::-1]
             i = bits.find("1")
             while i >= 0:  # one edge per set bit: lane, then rotation s

@@ -22,8 +22,10 @@ cross-check that empirically.
 
 Every cut of a cyclic word into two non-palindromic parts, synchronizing or
 not under each order, is read from one table, ``_cut_rows``, built per
-batch of words of one length: one word to classify, or a batch of a
-class's vertices for its exchange graph.
+batch of words of one length: one word to classify or split, or a batch
+of a class's vertices for its exchange graph.  It yields each
+factorization once, as its cut of length m <= n/2, over every start, and
+refuses a word past ``CUT_TABLE_CAP`` letters before it builds a row.
 
 Cyclic Abelian classes (all cyclic words with a given Parikh vector) are
 enumerated by one FKM-style fixed-content necklace walk, yielding each
@@ -40,6 +42,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import comb, gcd
 from typing import Iterator, Sequence
+
+
+class DomainError(ValueError):
+    """A request outside the library's domain: a value assignment outside
+    the domain of the requested continuant, or a job refused by a guard
+    before it starts (a word past the cut-table cap, a class past the work
+    cap, a descent past the construction cap)."""
 
 
 class Ordering(Enum):
@@ -345,12 +354,22 @@ def _known_necklace(alphabet: OrderedAlphabet, t: tuple[int, ...]) -> CyclicWord
 
 # -- factorizations -----------------------------------------------------------
 
-# Longest word whose cut table ``classify`` builds, and so the longest
-# optimum ``search`` builds and certifies.
+# Longest word whose cut table is built: the longest word ``classify``
+# and ``split_points`` read, and so the longest optimum ``search`` builds
+# and certifies.
 # The table keeps up to n/2 rows of 3n bits, so memory grows as
 # n^2: classify of a constructed singular word (no early exit) peaked at
 # 80 MB of process RSS at 18k letters, 267 MB at 36k and 1,014 MB at 72k.
 CUT_TABLE_CAP = 40_000
+
+
+def _within_cut_table_cap(n: int) -> None:
+    """Raise DomainError if a word of n letters is longer than CUT_TABLE_CAP."""
+    if n > CUT_TABLE_CAP:
+        raise DomainError(
+            f"word of {n} letters exceeds the cut-table cap ({CUT_TABLE_CAP})"
+        )
+
 
 # Entry c of table j is b"1" if bit j of the letter c is set, else b"0".
 _PLANE_TABLES = tuple(
@@ -378,13 +397,17 @@ def _cut_rows(
     """Cut sets of a batch of cyclic words, from the outside-in mismatch table.
 
     t is the batch: words of n letters each, one after another (one word
-    if n is 0); a batch of more than one word is bytes.  Yields (m, cuts,
-    plain, alt) once for each cut length m in 2..n-2, in no fixed order.
+    if n is 0); a batch of more than one word is bytes.  Raises
+    DomainError, before any row is built, if n passes CUT_TABLE_CAP.
+    Yields (m, cuts, plain, alt) once for each cut length m in 2..n/2, in
+    no fixed order, so each factorization once: the cut (s, m) and its
+    complement (s + m, n - m) are the same factorization read from the
+    other side, and both are admissible, or apart, or neither is.
     Word i is lane i of every set, at bits 2 i n to 2 i n + n - 1: bit
-    2 i n + s is the cut of the word's rotation s at m, for s below its
-    least period (the first p starts are the distinct rotations).
-    ``cuts`` holds the admissible cuts, ``plain`` and ``alt`` the
-    non-synchronizing ones.  Rows past an early stop are never built.
+    2 i n + s is the cut of the word's rotation s at m, for every start
+    s < n, and s < n/2 at m = n/2.  ``cuts`` holds the admissible cuts,
+    ``plain`` and ``alt`` the non-synchronizing ones.  Rows past an early
+    stop are never built.
 
     The cut has the cyclic factors u = (s, m) and v = (s + m, n - m).  A
     factor of length L first differs from its reversal at its outside-in
@@ -394,12 +417,13 @@ def _cut_rows(
     k >= L // 2 means a palindrome, an inadmissible part.  So row L, three
     sets over all starts (not a palindrome, plain-less and
     alternating-less than the reversal), is a few shifts and masks per
-    letter bit-plane over row L - 2, and a cut length reads two rows.  That
-    is O(n^2) time per batch as O(n) bit operations per row, and a row is
-    kept only until its partner length n - L arrives: at most n/2 rows of
-    three sets.
+    letter bit-plane over row L - 2, and a cut length m reads u from row
+    m and v from row n - m.  That is O(n^2) time per batch as O(n) bit
+    operations per row, and a row below n/2 is kept only until its
+    partner length n - L arrives: at most n/2 rows of three sets.
     """
     n = n or len(t)
+    _within_cut_table_cap(n)
     if n < 4:  # every cut has a one-letter, palindromic part
         return
     lanes = len(t) // n
@@ -408,14 +432,9 @@ def _cut_rows(
     # a lane take what its rotation spills and nothing else reaches it.
     # The mask is left out where an & with a masked set follows.
     full = ((1 << 2 * n * lanes) - 1) // ((1 << 2 * n) - 1) * ((1 << n) - 1)
+    half = full // ((1 << n) - 1) * ((1 << n // 2) - 1)  # starts s < n/2
     planes = _bit_planes(
         t if lanes == 1 else bytes(n).join(t[i : i + n] for i in range(0, len(t), n)))
-    starts = full
-    for i in range(lanes):  # each word's least period p
-        w = t[i * n : i * n + n]
-        p = next(d for d in range(1, n + 1) if n % d == 0 and w[d:] == w[: n - d])
-        if p < n:
-            starts ^= ((1 << n) - (1 << p)) << (2 * n * i)
     older = old = (0, 0, 0)  # rows 0 and 1: every factor is a palindrome
     waiting = {}
     for L in range(2, n - 1):
@@ -437,17 +456,14 @@ def _cut_rows(
         if 2 * L < n:
             waiting[L] = row
             continue
-        # Cut length m reads u from row m and v from row n - m.
-        if 2 * L == n:
-            cut_lengths = ((L, row, row),)
-        else:
-            partner = waiting.pop(n - L)
-            cut_lengths = ((n - L, partner, row), (L, row, partner))
-        for m, (adm_u, pl_u, al_u), (adm_v, pl_v, al_v) in cut_lengths:
-            e = n - m
-            cuts = adm_u & ((adm_v >> m) | (adm_v << e)) & starts
-            yield (m, cuts, (pl_u ^ ((pl_v >> m) | (pl_v << e))) & cuts,
-                   (al_u ^ ((al_v >> m) | (al_v << e))) & cuts)
+        m = n - L  # u from row m, v = (s + m, L) from this row
+        adm_u, pl_u, al_u = waiting.pop(m, row)
+        adm_v, pl_v, al_v = row
+        cuts = adm_u & ((adm_v >> m) | (adm_v << L))
+        if m == L:  # the complement of (s, m) is (s + m, m), in this row too
+            cuts &= half
+        yield (m, cuts, (pl_u ^ ((pl_v >> m) | (pl_v << L))) & cuts,
+               (al_u ^ ((al_v >> m) | (al_v << L))) & cuts)
 
 
 def split_points(omega: CyclicWord) -> Iterator[tuple[LinearWord, LinearWord]]:
@@ -455,16 +471,26 @@ def split_points(omega: CyclicWord) -> Iterator[tuple[LinearWord, LinearWord]]:
 
     Each (distinct rotation, cut position) pair is yielded once: rotations
     in order of first occurrence, then cut positions ascending.  Words of
-    fewer than four letters yield nothing.
+    fewer than four letters yield nothing.  Raises DomainError past
+    CUT_TABLE_CAP letters, before any row of the cut table is built.
+
+    The table yields each cut length m <= n/2 once; the cut (s, m) is the
+    complement (s + m, n - m) read from the other side, so row n - m is
+    row m rotated by m, and at m = n/2 the row's two halves are OR-ed.
+    The first p starts, p the least period, are the distinct rotations.
     """
     alphabet = omega.alphabet
     t = omega.indices
     n = len(t)
-    rows = sorted((m, cuts) for m, cuts, _, _ in _cut_rows(t))
+    rows = [0] * n
+    for m, cuts, _, _ in _cut_rows(t):
+        rows[m] |= cuts
+        rows[n - m] |= ((cuts << m) | (cuts >> (n - m))) & ((1 << n) - 1)
+    p = next(d for d in range(1, n + 1) if n % d == 0 and t[d:] == t[: n - d])
     d = t + t
-    for s in range(n):  # bits at or past the least period are clear
-        for m, cuts in rows:
-            if cuts >> s & 1:
+    for s in range(p):
+        for m in range(2, n - 1):
+            if rows[m] >> s & 1:
                 yield (
                     LinearWord(alphabet, d[s : s + m]),
                     LinearWord(alphabet, d[s + m : s + n]),

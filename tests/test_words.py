@@ -1,13 +1,17 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cycont
 from cycont import extremal
 from cycont.words import (
+    CUT_TABLE_CAP,
     CyclicWord,
+    DomainError,
     LinearWord,
     OrderedAlphabet,
     Ordering,
@@ -421,7 +425,8 @@ class TestCutRowLanes:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 10, 12])
     def test_periodic_lanes_among_aperiodic_ones(self, n):
-        """Powers of 01 and 001 read only their first p starts."""
+        """Powers of 01 and 001, whose rows repeat every p starts, next to
+        words of n distinct rotations."""
         words = [bytes(i % p == p - 1 for i in range(n))
                  for p in (2, 3) if n % p == 0]
         words += [bytes([0] * (n - 1) + [1]), bytes([1] * n), bytes(range(n))]
@@ -451,6 +456,56 @@ class TestCutRowLanes:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_words_below_four_letters_have_no_rows(self, n):
         assert list(_cut_rows(bytes(range(n)) * 3, n)) == []
+
+
+class TestCutRowContract:
+    """``_cut_rows`` against a slicing oracle on every word of up to ten
+    letters over three, periodic ones included, alone and in batches:
+    each cut length m in 2..n/2 once, and bit s of a word's lane set
+    exactly when the cut (s, m) is admissible, plain-apart or alt-apart,
+    for s < n, and s < n/2 at m = n/2; no other bit."""
+
+    @staticmethod
+    def _by_slicing(w, factors):
+        """{m: (cuts, plain, alt)} of the word w, each an n-bit set."""
+        n, d = len(w), w + w
+        rows = {}
+        for m in range(2, n // 2 + 1):
+            sets = [0, 0, 0]
+            for s in range(n if 2 * m < n else n // 2):
+                u, v = factors[d[s : s + m]], factors[d[s + m : s + n]]
+                if u and v:
+                    sets[0] |= 1 << s
+                    sets[1] |= (u[0] != v[0]) << s
+                    sets[2] |= (u[1] != v[1]) << s
+            rows[m] = tuple(sets)
+        return rows
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_each_cut_once_over_every_start(self, n):
+        words = [bytes(w) for w in product(range(3), repeat=n)]
+        factors = {  # plain-less and alt-less than its reversal, or None
+            f: None if f == f[::-1] else
+            (_less_than_reversal(f, False), _less_than_reversal(f, True))
+            for f in (bytes(f) for L in range(n) for f in product(range(3), repeat=L))
+        }
+        expected = [self._by_slicing(w, factors) for w in words]
+        for w, rows in zip(words, expected):
+            got = [(m, tuple(sets)) for m, *sets in _cut_rows(tuple(w))]
+            assert sorted(m for m, _ in got) == list(rows), w
+            assert dict(got) == rows, w
+        mask = (1 << n) - 1
+        for b in range(0, len(words), 512):
+            batch = expected[b : b + 512]
+            got = [(m, sets) for m, *sets in _cut_rows(b"".join(words[b : b + 512]), n)]
+            assert sorted(m for m, _ in got) == list(range(2, n // 2 + 1))
+            for m, sets in got:
+                lanes = [tuple(x >> (2 * i * n) & mask for x in sets)
+                         for i in range(len(batch))]
+                assert lanes == [rows[m] for rows in batch], m
+                assert sets == [  # no bit outside the lanes
+                    sum(lane[j] << (2 * i * n) for i, lane in enumerate(lanes))
+                    for j in range(3)]
 
 
 class TestEnumerateClass:
@@ -612,6 +667,21 @@ class TestSplitPoints:
                 for u, v in split_points(CyclicWord(LinearWord(abc, t)))
             ]
             assert got == list(splits_by_slicing(naive_canonical(t))), t
+
+    def test_refuses_a_word_past_the_cut_table_cap_before_any_row(self, ab):
+        omega = ab.cyclic("a" * CUT_TABLE_CAP + "b")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="cut-table cap"):
+                next(split_points(omega))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_one_domain_error(self):
+        assert cycont.DomainError is cycont.continuants.DomainError
+        assert cycont.DomainError is DomainError
 
     def test_deterministic(self, ab):
         omega = ab.cyclic("aabab")
