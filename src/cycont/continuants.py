@@ -46,9 +46,10 @@ or 4 with a middle letter x.  Both factors have the form
 products.  Only the halves u are multiplied out, by ``_product``, the one
 path that multiplies out a word.  The palindromic path needs the word's
 values as bytes; a value past 255, or an alphabet of more than 256
-letters, keeps the values in a tuple, and the word takes the general
-path.  All arithmetic is exact (Python integers, fractions.Fraction for
-quotients).
+letters, keeps the values in a tuple.  Such a word, and any word that is
+not a product of two palindromes, takes the trace of ``_product`` over
+the whole word, as a word of at most ``_LEAF`` letters does.  All
+arithmetic is exact (Python integers, fractions.Fraction for quotients).
 """
 
 from __future__ import annotations
@@ -146,21 +147,16 @@ def _cyclic(vals: Sequence[int], sign: int) -> int:
     its square.  Found at r, the word is p q with p = vals[:r] and
     q = vals[r:] both palindromes, since rev(pq) = rev(q) rev(p) = q p;
     the trace of [[x1, s x2], [x2, x3]] [[y1, s y2], [y2, y3]] is
-    x1 y1 + 2 s x2 y2 + x3 y3.  Otherwise the top merge forms only the
-    trace of the two halves' product, 4 of its 8 multiplications and the
-    widest ones.
+    x1 y1 + 2 s x2 y2 + x3 y3.  Any other word, and any word of values
+    past 255 (kept in a tuple or list), takes the trace of ``_product``.
     """
     n = len(vals)
-    if n > _LEAF:
-        r = (vals + vals).find(vals[::-1]) if isinstance(vals, bytes) else -1
+    if n > _LEAF and isinstance(vals, bytes):
+        r = (vals + vals).find(vals[::-1])
         if r >= 0:
             x1, x2, x3 = _palindrome(vals[:r], sign)
             y1, y2, y3 = _palindrome(vals[r:], sign)
             return x1 * y1 + 2 * sign * x2 * y2 + x3 * y3
-        mid = n // 2
-        a, b, c, d = _product(vals[:mid], sign)
-        e, f, g, h = _product(vals[mid:], sign)
-        return a * e + b * g + c * f + d * h
     a, _, _, d = _product(vals, sign)
     return a + d if n > 1 else a + sign
 

@@ -58,7 +58,6 @@ from .words import (
     _cmp_lex,
     _cut_rows,
     _known_necklace,
-    _least_rotation,
     _necklace_walk,
     _rotation_table,
     _within_cut_table_cap,
@@ -146,7 +145,7 @@ def exchange(
         raise ValueError("split parts must be non-empty")
     if a == a[::-1] or b == b[::-1]:
         raise ValueError("split parts must be non-palindromic")
-    if _least_rotation(a + b) != omega.indices:
+    if CyclicWord(LinearWord(omega.alphabet, a + b)) != omega:
         raise ValueError("split is not a factorization of the cyclic word")
     return CyclicWord(LinearWord(omega.alphabet, a[::-1] + b))
 
@@ -169,18 +168,15 @@ def reversal_class_representative(omega: CyclicWord) -> CyclicWord:
 # letters and about 110 n^2 on n,1,1, whose walk visits about n^2 / 2
 # prenecklaces per necklace.  The prune leaves 6-320 units per member
 # on the highest-charged admitted classes of total 16 or less, 14,14 and
-# 12,12,1, but cuts little where the least letter is frequent: pinned to
-# one CPU through the CLI, 519,1,1, 145,1,1,1 and 60,1,1,1,1 take 11.1,
-# 20.4-21.9 and 25.8-26.3 s (the host's speed drifts by up to a factor
-# of two between hours).  A graph member cost 130-255 n^3 units through
-# the CLI at 9-16 letters, 30-105 n^3 at 19-43 and 12-37 n^3 at 66-281,
-# against 147-252, 62-126 and 20-45 n^3 charged by 12 n^2 (n + 180),
-# measured before the build read each edge once; every later build costs
-# less.  The slowest admitted classes found took up to 26 s (search,
-# 60,1,1,1,1) and 58 s (graph, 7,2,2,2,1, in a slow hour, on that earlier
-# build); pinned to one CPU, 7,2,2,2,1 now takes 12.0-14.5 s through the
-# CLI, against 19.0-20.3 s with one cut table per vertex in the same
-# hour.  The charge is kept, so every class admitted before still is.
+# 12,12,1, but cuts little where the least letter is frequent.  When the
+# charge was fitted, a graph member cost 130-255 n^3 units through the
+# CLI at 9-16 letters, 30-105 n^3 at 19-43 and 12-37 n^3 at 66-281,
+# against 147-252, 62-126 and 20-45 n^3 charged by 12 n^2 (n + 180).
+# Pinned to one CPU through the CLI, the slowest admitted classes found
+# take 11.1-26.3 s on search (519,1,1, 145,1,1,1 and 60,1,1,1,1; the
+# host's speed drifts by up to a factor of two between hours) and
+# 12.0-14.5 s on graph (7,2,2,2,1).  The charge is kept, so every class
+# admitted before still is.
 WORK_CAP = 75_000_000_000
 
 
@@ -287,6 +283,7 @@ def search(
         )
     sign = 1 if valuation == "regular" else -1
 
+    alphabet = vector.alphabet
     optimum = _OPTIMUM.get((valuation, direction))
     if optimum is None:  # semi-regular max
         size = _class_size(vector, _search_cost(vector.total))
@@ -298,19 +295,16 @@ def search(
                     best, arg = v, [t]
                 else:
                     arg.append(t)
+        optima = tuple(_known_necklace(alphabet, t) for t in arg)
+        certificates = tuple(classify(w) for w in optima)
     else:
         _within_cut_table_cap(vector.total)  # before building the word
         s = tuple(i for i, c in enumerate(vector.counts) for _ in range(c))
-        end = _least_rotation(optimum[0](s))
-        arg = sorted({end, _least_rotation(end[::-1])})
-        best = _cyclic([vals[i] for i in end], sign)
+        end = CyclicWord(LinearWord(alphabet, optimum[0](s)))
+        optima = tuple(sorted({end, end.reverse()}, key=lambda w: w.indices))
+        best = _cyclic([vals[i] for i in end.indices], sign)
         size = necklace_count(vector)
-
-    alphabet = vector.alphabet
-    optima = tuple(_known_necklace(alphabet, t) for t in arg)
-    if optimum is None:
-        certificates = tuple(classify(w) for w in optima)
-    else:  # a word and its reversal: classify is reversal-invariant
+        # a word and its reversal: classify is reversal-invariant
         certificates = (classify(optima[0]),) * len(optima)
         if not getattr(certificates[0], optimum[1]):
             raise RuntimeError(f"built optimum {optima[0]} is not {optimum[1]}")

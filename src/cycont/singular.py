@@ -31,8 +31,9 @@ vector, and it is a cyclic palindrome.
 over its letters: each letter becomes its side of b as one byte, one shift
 and add of two big integers gives the codes of all adjacent pairs of sides,
 and a table turns each code into b or a gap byte, which is interleaved with
-the letters and then deleted.  Alphabets of more than 255 letters, which
-only the library can make, take the same steps over lists.
+the letters and then deleted.  Alphabets of more than 255 letters, from
+the library or from ``cycont xi --alphabet``, take the same steps over
+lists.
 
 The unwinding runs no least-rotation pass.  For a necklace t (t is its own least
 rotation) ``_xi_cyclic(b, t)`` returns a representative y of xi_b(t), and
@@ -68,10 +69,10 @@ from itertools import compress
 from math import gcd
 from typing import Sequence
 
-from .continuants import DomainError
 from .extremal import SyncKind, classify
 from .words import (
     CyclicWord,
+    DomainError,
     LinearWord,
     OrderedAlphabet,
     ParikhVector,

@@ -317,11 +317,6 @@ def least_rotation_index(t: Sequence[int]) -> int:
     return start
 
 
-def _least_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
-    k = least_rotation_index(t)
-    return t[k:] + t[:k] if k else t
-
-
 def _rotation_table(counts: Sequence[int]) -> tuple[list, bytes, dict]:
     """The necklaces of a class with no zero count, as bytes in walk
     order; the rank of its rarest letter, as one byte; and a dict from

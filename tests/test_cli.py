@@ -9,7 +9,7 @@ import pytest
 from cycont.cli import main
 from cycont.continuants import cyclic_regular
 from cycont.extremal import WORK_CAP, build_exchange_graph
-from cycont.singular import DESCENT_AREA_CAP
+from cycont.singular import DESCENT_AREA_CAP, xi_linear
 from cycont.words import CUT_TABLE_CAP, OrderedAlphabet, alphabet_of_size
 
 from oracles import cyclic_by_definition
@@ -471,6 +471,19 @@ class TestXi:
         )
         assert code == 0
         assert out.strip() == "cdd"
+
+    def test_alphabet_past_255_letters(self, capsys):
+        """The letters of a 300-letter alphabet do not fit bytes, so the map
+        takes its list branch."""
+        alphabet = OrderedAlphabet(tuple(f"s{i}" for i in range(300)))
+        word = "s255,s299,s3,s1,s255,s255"
+        code, out, _ = run(
+            capsys, "xi", "--word", word, "--letter", "s255",
+            "--alphabet", ",".join(alphabet.symbols),
+        )
+        assert code == 0
+        assert out.strip() == str(xi_linear("s255", alphabet.word(word)))
+        assert out.strip() == "s255,s255,s299,s3,s255,s1,s255,s255,s255"
 
     def test_inverse_absent_exits_three(self, capsys):
         code, payload, _ = run_json(

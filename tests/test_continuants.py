@@ -347,14 +347,17 @@ class TestCyclicPalindromes:
 
     def test_non_palindromes_take_the_general_path(self, monkeypatch):
         """Words with no rotation that is a product of two palindromes: the
-        reversal is not a factor of the doubled word."""
+        reversal is not a factor of the doubled word.  The same words as
+        bytes, as a list (what ``search``'s walk passes) and as a tuple of
+        values past 255."""
         rng = random.Random(9)
         calls = count_palindrome_products(monkeypatch)
         for n in (_LEAF + 1, 100, 1_000):
             vals = [2, 3] + [rng.choice((2, 3, 4, 5)) for _ in range(n - 2)]
             assert bytes(vals + vals).find(bytes(vals[::-1])) < 0, n
-            for sign in (1, -1):
-                assert _cyclic(bytes(vals), sign) == cyclic_by_definition(vals, sign)
+            for word in (bytes(vals), vals, tuple(v + 254 for v in vals)):
+                for sign in (1, -1):
+                    assert _cyclic(word, sign) == cyclic_by_definition(word, sign)
         assert calls == []
 
     def test_values_past_a_byte_take_the_general_path(self, monkeypatch):

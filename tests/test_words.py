@@ -102,6 +102,15 @@ class TestAlphabet:
                     symbols[i] for i in naive_canonical(t))
 
 
+class TestWordGate:
+    @pytest.mark.parametrize("indices", [(2,), (-1,), (0, 5)])
+    def test_indices_outside_the_alphabet_are_refused(self, ab, indices):
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            LinearWord(ab, indices)
+        with pytest.raises(ValueError, match="outside the alphabet"):
+            CyclicWord(LinearWord(ab, indices))
+
+
 class TestReverse:
     def test_examples(self, abc):
         assert str(abc.word("abc").reverse()) == "cba"
