@@ -297,6 +297,9 @@ def search(
                     arg.append(t)
         optima = tuple(_known_necklace(alphabet, t) for t in arg)
         certificates = tuple(classify(w) for w in optima)
+        unique = len(optima) == 1 or (
+            len(optima) == 2 and optima[0].reverse() == optima[1]
+        )
     else:
         _within_cut_table_cap(vector.total)  # before building the word
         s = tuple(i for i, c in enumerate(vector.counts) for _ in range(c))
@@ -308,9 +311,7 @@ def search(
         certificates = (classify(optima[0]),) * len(optima)
         if not getattr(certificates[0], optimum[1]):
             raise RuntimeError(f"built optimum {optima[0]} is not {optimum[1]}")
-    unique = len(optima) == 1 or (
-        len(optima) == 2 and optima[0].reverse() == optima[1]
-    )
+        unique = True  # the optima are the built word and its reversal
     return SearchReport(
         parikh=vector,
         valuation=valuation,

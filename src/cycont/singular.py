@@ -241,19 +241,8 @@ def xi_cyclic(b: str, omega: CyclicWord) -> CyclicWord:
 
 
 def _erase_one_per_run(b: int, t: tuple[int, ...]) -> tuple[int, ...]:
-    out: list[int] = []
-    i, n = 0, len(t)
-    while i < n:
-        if t[i] == b:
-            j = i
-            while j < n and t[j] == b:
-                j += 1
-            out.extend([b] * (j - i - 1))
-            i = j
-        else:
-            out.append(t[i])
-            i += 1
-    return tuple(out)
+    """t without each b whose predecessor is not b: one b per run."""
+    return tuple(compress(t, [s != b or r == b for r, s in zip((None,) + t, t)]))
 
 
 def xi_preimage(
@@ -346,7 +335,6 @@ def construct_singular(
     symbols = alphabet.symbols
     counts = vector.counts
     steps: list[ConstructionStep] = []
-    letters: list[int] = []
     area = 0
     while True:
         area += sum(counts)
@@ -364,7 +352,6 @@ def construct_singular(
         steps.append(
             ConstructionStep(ParikhVector(alphabet, counts), symbols[b], abs(d))
         )
-        letters.append(b)
 
     terminal = ParikhVector(alphabet, counts)
     trace_base = dict(
@@ -377,7 +364,8 @@ def construct_singular(
         return None, ConstructionTrace(words=None, **trace_base)
 
     words = [_known_necklace(alphabet, (b,) * counts[b])]
-    for letter in reversed(letters):
+    for step in reversed(steps):
+        letter = alphabet.index(step.letter)
         words.append(
             _known_necklace(alphabet, _xi_necklace(letter, words[-1].indices))
         )
@@ -401,9 +389,12 @@ def christoffel(
 ) -> CyclicWord:
     """Cyclic lower Christoffel word with p low and q high letters.
 
-    Non-coprime counts give the g-th power of the primitive word,
-    g = gcd(p, q).  The result is balanced, singular, and the unique such
-    cyclic word in its Abelian class.
+    With g = gcd(p, q), q' = q/g and n' = (p + q)/g, letter k of the
+    primitive word (1 <= k <= n') is the high letter iff
+    floor(k q'/n') > floor((k-1) q'/n'), and the result is that word
+    repeated g times: a^p at q = 0 and b^q at p = 0.  The result is
+    balanced, singular, and the unique such cyclic word in its Abelian
+    class.
     """
     if alphabet is None:
         alphabet = _AB
@@ -411,35 +402,22 @@ def christoffel(
         raise ValueError("Christoffel words live on a two-letter alphabet")
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("need non-negative counts with p + q >= 1")
-    if p == 0:
-        t: tuple[int, ...] = (1,) * q
-    elif q == 0:
-        t = (0,) * p
-    else:
-        g = gcd(p, q)
-        pp, qq = p // g, q // g
-        n = pp + qq
-        primitive = tuple(
-            0 if (k * qq) % n > ((k - 1) * qq) % n else 1 for k in range(1, n + 1)
-        )
-        t = primitive * g
-    return CyclicWord(LinearWord(alphabet, t))
+    g = gcd(p, q)
+    qq, n = q // g, (p + q) // g
+    primitive = tuple(k * qq // n - (k - 1) * qq // n for k in range(1, n + 1))
+    return CyclicWord(LinearWord(alphabet, primitive * g))
 
 
 def is_balanced(omega: CyclicWord) -> bool:
-    """Any two equal-length cyclic factors differ by at most one in counts."""
+    """Any two equal-length cyclic factors differ by at most one in counts.
+
+    A binary cyclic word is balanced exactly when it is the Christoffel
+    word of its content (p, q), a power of the primitive one when
+    gcd(p, q) > 1, so omega is compared with ``christoffel(p, q)``.  The
+    tests check this against ``balanced_by_factors``, a scan of every
+    cyclic factor.
+    """
     if len(omega.alphabet) != 2:
         raise ValueError("balance is defined over a two-letter alphabet")
-    t = omega.indices
-    n = len(t)
-    doubled = t + t
-    for length in range(1, n + 1):
-        c = sum(1 for s in doubled[:length] if s == 0)
-        lo = hi = c
-        for i in range(1, n):
-            c += (doubled[i + length - 1] == 0) - (doubled[i - 1] == 0)
-            lo = min(lo, c)
-            hi = max(hi, c)
-            if hi - lo > 1:
-                return False
-    return True
+    p, q = omega.parikh().counts
+    return omega == christoffel(p, q, omega.alphabet)

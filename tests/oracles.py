@@ -6,7 +6,8 @@ and through the rolling two-term recurrence, cyclic continuants by their
 definition on the word and its interior, continued fractions through nested
 exact division, canonical rotations through a naive minimum, midpoint
 classification through the interval picture, the insertion map xi_b one
-letter at a time, class enumeration through a full sweep of k^n words (or
+letter at a time, balance of a binary word through the low-letter count of
+every cyclic factor, class enumeration through a full sweep of k^n words (or
 of every word of one content), synchronization classes and exchange-graph
 edges through every cut of every rotation compared letter by letter with
 its reversal.
@@ -250,6 +251,25 @@ def xi_linear_by_letters(b: int, t: tuple) -> tuple:
             if (s > b and e > b) or (s < b and e < b):
                 out.append(b)
     return tuple(out)
+
+
+def balanced_by_factors(t: tuple) -> bool:
+    """True iff any two cyclic factors of t of one length hold numbers of
+    letter 0 that differ by at most one.
+
+    Each length's window slides round t one letter at a time, its count
+    kept by the letter that enters and the letter that leaves.
+    """
+    n = len(t)
+    for length in range(1, n + 1):
+        c = sum(1 for j in range(length) if t[j] == 0)
+        lo = hi = c
+        for i in range(1, n):
+            c += (t[(i + length - 1) % n] == 0) - (t[i - 1] == 0)
+            lo, hi = min(lo, c), max(hi, c)
+            if hi - lo > 1:
+                return False
+    return True
 
 
 def necklace_count(counts) -> int:

@@ -46,6 +46,7 @@ from cycont.words import (
 )
 
 from oracles import (
+    balanced_by_factors,
     cyclic_by_definition,
     interval_midpoint,
     nonnegative_compositions,
@@ -437,7 +438,8 @@ def test_criterion_7_constructor_uniqueness(survey8):
 
 def test_criterion_7_binary_triple_equivalence():
     """singular <=> balanced <=> Christoffel for every binary cyclic word
-    of length <= 10."""
+    of length <= 10, balance read by the scan of every cyclic factor and
+    by ``is_balanced``."""
     ab = alphabet_of_size(2)
     checked = 0
     for n in range(1, 11):
@@ -446,8 +448,9 @@ def test_criterion_7_binary_triple_equivalence():
             chris = christoffel(p, q)
             for omega in enumerate_class(ab.vector((p, q))):
                 singular = is_singular(omega)
-                balanced = is_balanced(omega)
+                balanced = balanced_by_factors(omega.indices)
                 assert singular == balanced == (omega == chris)
+                assert is_balanced(omega) == balanced
                 checked += 1
     _ok("criterion 7: binary equivalence", f"{checked} words")
 

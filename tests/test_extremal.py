@@ -563,6 +563,24 @@ class TestSearchOptima:
         assert len(calls) == 1
         assert report.certificates == tuple(classify(w) for w in report.optima)
 
+    @pytest.mark.parametrize("valuation,direction,flag", CONSTRUCTED)
+    def test_a_built_optimum_takes_two_least_rotations(
+        self, monkeypatch, valuation, direction, flag
+    ):
+        """One least rotation for the built word and one for its reversal;
+        the optima are that pair, so uniqueness takes no third."""
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return least_rotation_index(t)
+
+        monkeypatch.setattr(words, "least_rotation_index", counting)
+        report = search(_vector((2, 1, 3, 1)), (2, 3, 4, 5), valuation, direction)
+        assert len(calls) == 2
+        assert len(report.optima) == 2
+        assert report.unique_up_to_reversal
+
     def test_refuses_a_trillion_letters_at_once(self, ab):
         start = time.perf_counter()
         tracemalloc.start()

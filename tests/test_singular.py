@@ -38,6 +38,7 @@ from cycont.words import (
 
 from oracles import (
     all_rotations,
+    balanced_by_factors,
     interval_midpoint,
     nonnegative_compositions,
     xi_linear_by_letters,
@@ -466,9 +467,15 @@ class TestIsSingular:
 
 
 def balanced_necklaces(ab, p, q):
-    return [
-        w for w in enumerate_class(ab.vector((p, q))) if is_balanced(w)
-    ]
+    """The balanced words of content (p, q) by the factor scan, each
+    checked against ``is_balanced``."""
+    out = []
+    for w in enumerate_class(ab.vector((p, q))):
+        balanced = balanced_by_factors(w.indices)
+        assert is_balanced(w) == balanced, w
+        if balanced:
+            out.append(w)
+    return out
 
 
 class TestChristoffel:
@@ -496,6 +503,17 @@ class TestChristoffel:
         with pytest.raises(ValueError):
             christoffel(2, 1, abc)
 
+    def test_matches_the_constructor(self, ab):
+        """For every 0 <= p, q <= 40, the Christoffel word is the singular
+        word the constructor builds for (p, q), and it is balanced."""
+        for p in range(41):
+            for q in range(41):
+                if p + q == 0:
+                    continue
+                w = christoffel(p, q)
+                assert construct_singular(ab.vector((p, q)))[0] == w, (p, q)
+                assert is_balanced(w), (p, q)
+
 
 class TestBalance:
     def test_classic_unbalanced(self, ab):
@@ -509,6 +527,32 @@ class TestBalance:
         with pytest.raises(ValueError):
             is_balanced(abc.cyclic("abc"))
 
+    def test_matches_the_factor_scan(self, ab):
+        """is_balanced agrees with the scan of every cyclic factor on every
+        binary necklace of up to 14 letters."""
+        checked = 0
+        for n in range(1, 15):
+            for p in range(n + 1):
+                for omega in enumerate_class(ab.vector((p, n - p))):
+                    assert is_balanced(omega) == balanced_by_factors(
+                        omega.indices
+                    ), omega
+                    checked += 1
+        assert checked == 2_615
+
+    def test_long_constructed_word(self, ab):
+        """The 2,827-letter outcome of 1000,1827 is balanced; moving its
+        first a one place right, which is not a rotation of it, is not."""
+        omega, _ = construct_singular(ab.vector((1000, 1827)))
+        assert len(omega) == 2_827
+        assert is_balanced(omega)
+        s = str(omega)
+        i = s.index("ab")
+        swapped = ab.cyclic(s[:i] + "ba" + s[i + 2 :])
+        assert swapped != omega
+        assert not is_balanced(swapped)
+        assert not balanced_by_factors(swapped.indices)
+
 
 class TestBinaryEquivalence:
     def test_singular_balanced_christoffel_coincide(self, ab):
@@ -517,6 +561,7 @@ class TestBinaryEquivalence:
                 q = n - p
                 for omega in enumerate_class(ab.vector((p, q))):
                     singular = is_singular(omega)
-                    balanced = is_balanced(omega)
+                    balanced = balanced_by_factors(omega.indices)
                     chris = omega == christoffel(p, q)
                     assert singular == balanced == chris
+                    assert is_balanced(omega) == balanced
