@@ -1,6 +1,7 @@
 """Command-line front end: eval, classify, search, construct, graph, xi.
 
-Exit codes: 0 success, 1 usage or parse error, 2 domain error (including
+Exit codes: 0 success, 1 usage or parse error or stdout closed early (as
+by ``| head``, which leaves stderr empty), 2 domain error (including
 work- and size-guard refusals), 3 algorithmic no-result (failed
 construction, absent preimage).  Machine output is JSON (``--format
 json``); ``search`` also supports CSV rows, one per optimum.  The CLI keeps
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 from typing import Sequence
@@ -364,6 +366,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.handler(args)
+    except BrokenPipeError:
+        # The reader left: point stdout at devnull, so that the interpreter's
+        # last flush cannot raise again, and exit without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except CliError as exc:
         print(f"cycont: error: {exc}", file=sys.stderr)
         return exc.code

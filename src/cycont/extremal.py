@@ -57,9 +57,10 @@ from .words import (
     _cmp_alt,
     _cmp_lex,
     _cut_rows,
-    _known_necklace,
     _necklace_walk,
     _rotation_table,
+    _trusted_necklace,
+    _trusted_word,
     _within_cut_table_cap,
     necklace_count,
 )
@@ -145,9 +146,9 @@ def exchange(
         raise ValueError("split parts must be non-empty")
     if a == a[::-1] or b == b[::-1]:
         raise ValueError("split parts must be non-palindromic")
-    if CyclicWord(LinearWord(omega.alphabet, a + b)) != omega:
+    if CyclicWord(_trusted_word(omega.alphabet, a + b)) != omega:
         raise ValueError("split is not a factorization of the cyclic word")
-    return CyclicWord(LinearWord(omega.alphabet, a[::-1] + b))
+    return CyclicWord(_trusted_word(omega.alphabet, a[::-1] + b))
 
 
 def reversal_class_representative(omega: CyclicWord) -> CyclicWord:
@@ -295,7 +296,7 @@ def search(
                     best, arg = v, [t]
                 else:
                     arg.append(t)
-        optima = tuple(_known_necklace(alphabet, t) for t in arg)
+        optima = tuple(_trusted_necklace(alphabet, t) for t in arg)
         certificates = tuple(classify(w) for w in optima)
         unique = len(optima) == 1 or (
             len(optima) == 2 and optima[0].reverse() == optima[1]
@@ -303,7 +304,7 @@ def search(
     else:
         _within_cut_table_cap(vector.total)  # before building the word
         s = tuple(i for i, c in enumerate(vector.counts) for _ in range(c))
-        end = CyclicWord(LinearWord(alphabet, optimum[0](s)))
+        end = CyclicWord(_trusted_word(alphabet, optimum[0](s)))
         optima = tuple(sorted({end, end.reverse()}, key=lambda w: w.indices))
         best = _cyclic([vals[i] for i in end.indices], sign)
         size = necklace_count(vector)
@@ -446,5 +447,5 @@ def build_exchange_graph(
         targets += [tuple(sorted(set(f))) for f in found]
     del at  # before the vertices are built, so the two never coexist
     words = [tuple(map(letters.__getitem__, key)) for key in order]
-    vertices = tuple([_known_necklace(vector.alphabet, t) for t in words])
+    vertices = tuple([_trusted_necklace(vector.alphabet, t) for t in words])
     return ExchangeGraph(vector, kind, vertices, tuple(targets))

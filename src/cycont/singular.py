@@ -76,7 +76,8 @@ from .words import (
     LinearWord,
     OrderedAlphabet,
     ParikhVector,
-    _known_necklace,
+    _trusted_necklace,
+    _trusted_word,
 )
 
 # Largest descent area (the sum of the chain's totals: the letters the
@@ -231,13 +232,13 @@ def _xi_necklace(b: int, t: tuple[int, ...]) -> tuple[int, ...]:
 def xi_linear(b: str, x: LinearWord) -> LinearWord:
     """Insert one b into each b-run and between same-side adjacent letters."""
     bi = x.alphabet.index(b)
-    return LinearWord(x.alphabet, _xi_linear(bi, x.indices))
+    return _trusted_word(x.alphabet, _xi_linear(bi, x.indices))
 
 
 def xi_cyclic(b: str, omega: CyclicWord) -> CyclicWord:
     """Cyclic insertion map; the result class is representative-independent."""
     bi = omega.alphabet.index(b)
-    return _known_necklace(omega.alphabet, _xi_necklace(bi, omega.indices))
+    return _trusted_necklace(omega.alphabet, _xi_necklace(bi, omega.indices))
 
 
 def _erase_one_per_run(b: int, t: tuple[int, ...]) -> tuple[int, ...]:
@@ -262,11 +263,11 @@ def xi_preimage(
         x = _erase_one_per_run(bi, t)
         if _xi_cyclic(bi, x) != t:
             return None
-        return CyclicWord(LinearWord(alphabet, x))
+        return CyclicWord(_trusted_word(alphabet, x))
     x = _erase_one_per_run(bi, w.indices)
     if _xi_linear(bi, x) != w.indices:
         return None
-    return LinearWord(alphabet, x)
+    return _trusted_word(alphabet, x)
 
 
 # -- constructor ------------------------------------------------------------------
@@ -285,8 +286,10 @@ class ConstructionTrace:
     """Full record of a constructor run, successful or not.
 
     ``words`` runs from the seed to the outcome.  Each word is built as its
-    own least rotation, so it is canonical as it comes out of the unwinding;
-    no least-rotation pass runs on it.
+    own least rotation from letters of the vector's alphabet, so it is
+    canonical and in range as it comes out of the unwinding: it is built by
+    ``words._trusted_necklace``, with no range check and no least-rotation
+    pass.
     """
 
     start: ParikhVector
@@ -363,11 +366,11 @@ def construct_singular(
     if any(c for i, c in enumerate(counts) if i != b):
         return None, ConstructionTrace(words=None, **trace_base)
 
-    words = [_known_necklace(alphabet, (b,) * counts[b])]
+    words = [_trusted_necklace(alphabet, (b,) * counts[b])]
     for step in reversed(steps):
         letter = alphabet.index(step.letter)
         words.append(
-            _known_necklace(alphabet, _xi_necklace(letter, words[-1].indices))
+            _trusted_necklace(alphabet, _xi_necklace(letter, words[-1].indices))
         )
     outcome = words[-1]
     return outcome, ConstructionTrace(words=tuple(words), **trace_base)
@@ -392,7 +395,8 @@ def christoffel(
     With g = gcd(p, q), q' = q/g and n' = (p + q)/g, letter k of the
     primitive word (1 <= k <= n') is the high letter iff
     floor(k q'/n') > floor((k-1) q'/n'), and the result is that word
-    repeated g times: a^p at q = 0 and b^q at p = 0.  The result is
+    repeated g times: a^p at q = 0 and b^q at p = 0.  The primitive word
+    is a Lyndon word, so the result is its own least rotation.  It is
     balanced, singular, and the unique such cyclic word in its Abelian
     class.
     """
@@ -405,7 +409,7 @@ def christoffel(
     g = gcd(p, q)
     qq, n = q // g, (p + q) // g
     primitive = tuple(k * qq // n - (k - 1) * qq // n for k in range(1, n + 1))
-    return CyclicWord(LinearWord(alphabet, primitive * g))
+    return _trusted_necklace(alphabet, primitive * g)
 
 
 def is_balanced(omega: CyclicWord) -> bool:

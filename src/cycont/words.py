@@ -5,6 +5,17 @@ rotation class of a nonempty linear word, stored through its canonical
 representative (the least rotation, found with Duval's Lyndon
 factorization).
 
+Words are validated once, where they enter.  ``LinearWord(...)`` copies
+its indices into a tuple and refuses any index outside the alphabet, and
+``CyclicWord(...)`` stores the least rotation of the word it is given.
+A word the library derives from words it already holds (a reversal, a
+rotation, a split, a class member, an insertion-map image, a built
+optimum, a graph vertex) is in range by construction, so it is built by
+``_trusted_word``, with no copy and no range check, or, when its tuple is
+already its own least rotation, by ``_trusted_necklace``, with no
+least-rotation pass either.  Either compares and hashes equal to the
+gated word.
+
 Two total orders on linear words are provided.  Both compare by the first
 differing position and both carry a non-standard rule for prefix pairs:
 
@@ -119,7 +130,7 @@ class OrderedAlphabet:
             parts = _tokens(text, all(len(s) == 1 for s in self.symbols))
         else:
             parts = list(text)
-        return LinearWord(self, tuple(self.index(p) for p in parts))
+        return _trusted_word(self, tuple(self.index(p) for p in parts))
 
     def cyclic(self, text: str | Sequence[str]) -> "CyclicWord":
         return CyclicWord(self.word(text))
@@ -171,7 +182,7 @@ class LinearWord:
         return f"LinearWord({str(self)!r})"
 
     def reverse(self) -> "LinearWord":
-        return LinearWord(self.alphabet, self.indices[::-1])
+        return _trusted_word(self.alphabet, self.indices[::-1])
 
     def is_palindrome(self) -> bool:
         return self.indices == self.indices[::-1]
@@ -196,7 +207,7 @@ class CyclicWord:
         k = least_rotation_index(t)
         if k:
             t = t[k:] + t[:k]
-            object.__setattr__(self, "word", LinearWord(self.word.alphabet, t))
+            object.__setattr__(self, "word", _trusted_word(self.alphabet, t))
 
     def __len__(self) -> int:
         return len(self.word)
@@ -220,6 +231,23 @@ class CyclicWord:
 
     def parikh(self) -> "ParikhVector":
         return _parikh_of(self.alphabet, self.indices)
+
+
+def _trusted_word(alphabet: OrderedAlphabet, t: tuple[int, ...]) -> LinearWord:
+    """``LinearWord(alphabet, t)`` for a tuple t the library derived from
+    words it holds, so already in range: no copy and no range check."""
+    word = object.__new__(LinearWord)
+    object.__setattr__(word, "alphabet", alphabet)
+    object.__setattr__(word, "indices", t)
+    return word
+
+
+def _trusted_necklace(alphabet: OrderedAlphabet, t: tuple[int, ...]) -> CyclicWord:
+    """``CyclicWord(_trusted_word(alphabet, t))`` for such a t that is
+    already its own least rotation: no least-rotation pass either."""
+    omega = object.__new__(CyclicWord)
+    object.__setattr__(omega, "word", _trusted_word(alphabet, t))
+    return omega
 
 
 @dataclass(frozen=True)
@@ -336,15 +364,6 @@ def _rotation_table(counts: Sequence[int]) -> tuple[list, bytes, dict]:
             table[d[j : j + len(t)]] = i
             j = t.find(rare, j + 1)
     return necklaces, rare, table
-
-
-def _known_necklace(alphabet: OrderedAlphabet, t: tuple[int, ...]) -> CyclicWord:
-    """``CyclicWord(LinearWord(alphabet, t))`` for a t that is already its
-    least rotation, without the least-rotation pass; it compares and
-    hashes equal."""
-    omega = object.__new__(CyclicWord)
-    object.__setattr__(omega, "word", LinearWord(alphabet, t))
-    return omega
 
 
 # -- factorizations -----------------------------------------------------------
@@ -487,8 +506,8 @@ def split_points(omega: CyclicWord) -> Iterator[tuple[LinearWord, LinearWord]]:
         for m in range(2, n - 1):
             if rows[m] >> s & 1:
                 yield (
-                    LinearWord(alphabet, d[s : s + m]),
-                    LinearWord(alphabet, d[s + m : s + n]),
+                    _trusted_word(alphabet, d[s : s + m]),
+                    _trusted_word(alphabet, d[s + m : s + n]),
                 )
 
 
@@ -612,7 +631,7 @@ def enumerate_class(vector: ParikhVector) -> Iterator[CyclicWord]:
         raise ValueError("cannot enumerate the class of the zero vector")
     alphabet = vector.alphabet
     for t in _necklace_walk(vector.counts):
-        yield _known_necklace(alphabet, t)
+        yield _trusted_necklace(alphabet, t)
 
 
 def necklace_count(vector: ParikhVector) -> int:

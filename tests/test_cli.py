@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import cycont
 from cycont.cli import main
 from cycont.continuants import cyclic_regular
 from cycont.extremal import WORK_CAP, build_exchange_graph
@@ -549,6 +553,28 @@ class TestDigitLimit:
             assert sys.get_int_max_str_digits() == 4321
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+class TestClosedPipe:
+    """A reader that leaves early, as ``| head -n 1`` does, ends the
+    command with exit 1 and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["graph", "--vector", "3,2,1,2,2"],
+        ["graph", "--vector", "3,2,1,2,2", "--dot"],
+        ["construct", "--vector", "1,2826", "--format", "text"],
+    ])
+    def test_exit_1_and_empty_stderr(self, argv):
+        src = str(Path(cycont.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        with subprocess.Popen(
+            [sys.executable, "-m", "cycont.cli", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ) as child:
+            assert child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read()
+        assert (child.returncode, err) == (1, b"")
 
 
 class TestEmptyWordWithoutAlphabet:

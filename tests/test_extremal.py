@@ -794,7 +794,7 @@ class TestExchangeGraph:
                     assert other_apart == apart, (t, r, m)
 
     @pytest.mark.parametrize("counts", [(2, 2, 2), (3, 2, 1, 2)])
-    def test_build_makes_no_booth_pass(self, counts, monkeypatch):
+    def test_build_makes_no_least_rotation_pass(self, counts, monkeypatch):
         """Every word the build canonicalises is a rotation of a necklace
         the class walk produced, so it is looked up, never run through
         least_rotation_index."""

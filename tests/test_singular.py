@@ -190,7 +190,7 @@ class TestXiCyclic:
                         image = xi_cyclic(name, omega)
                         assert image.parikh().counts[b] == counts[b] + abs(d)
 
-    def test_necklace_rule_matches_booth(self):
+    def test_necklace_rule_matches_least_rotation(self):
         """The fixed rotation ``_xi_necklace`` picks is the least rotation
         ``least_rotation_index`` finds, for every necklace over 2-5 letters
         up to lengths 14/9/7/6 and every letter: 46,847 pairs."""
@@ -357,7 +357,7 @@ class TestConstruct:
         }
         assert singular == expected
 
-    def test_unwinding_makes_no_booth_pass(self, abcd, monkeypatch):
+    def test_unwinding_makes_no_least_rotation_pass(self, abcd, monkeypatch):
         """Every unwound word comes out as its own least rotation, so neither
         the constructor nor ``xi_cyclic`` runs least_rotation_index.  The
         unwinding of 5,3,6,2 inserts letters below, equal to and above the

@@ -8,6 +8,14 @@ from hypothesis import strategies as st
 
 import cycont
 from cycont import extremal
+from cycont.extremal import SyncKind, build_exchange_graph, exchange, search
+from cycont.singular import (
+    christoffel,
+    construct_singular,
+    xi_cyclic,
+    xi_linear,
+    xi_preimage,
+)
 from cycont.words import (
     CUT_TABLE_CAP,
     CyclicWord,
@@ -17,9 +25,9 @@ from cycont.words import (
     Ordering,
     ParikhVector,
     _cut_rows,
-    _known_necklace,
     _necklace_walk,
     _rotation_table,
+    _trusted_necklace,
     alphabet_of_size,
     compare_alt,
     compare_lex,
@@ -109,6 +117,89 @@ class TestWordGate:
             LinearWord(ab, indices)
         with pytest.raises(ValueError, match="outside the alphabet"):
             CyclicWord(LinearWord(ab, indices))
+
+
+def _derived_words(alphabet, counts):
+    """Every word the library derives from the class of counts: the
+    constructor's trace, both graphs' vertices, the optima of all four
+    searches, each member with its splits, exchanges and insertion-map
+    images and their preimages, and the Christoffel word of a binary
+    content."""
+    vector = alphabet.vector(counts)
+    _, trace = construct_singular(vector)
+    yield from trace.words or ()
+    for kind in (SyncKind.PLAIN, SyncKind.ALT):
+        yield from build_exchange_graph(vector, kind).vertices
+    for valuation in ("regular", "semiregular"):
+        for direction in ("max", "min"):
+            yield from search(vector, (2, 3, 5, 7)[: len(alphabet)],
+                              valuation, direction).optima
+    for omega in enumerate_class(vector):
+        yield omega
+        yield omega.reverse()
+        for split in split_points(omega):
+            yield from split
+            yield exchange(omega, split)
+        for b in alphabet.symbols:
+            for image in (xi_cyclic(b, omega), xi_linear(b, omega.word)):
+                yield image
+                yield xi_preimage(b, image)
+    if len(alphabet) == 2:
+        yield christoffel(*counts)
+
+
+class TestDerivedWords:
+    """Words the library derives from words it holds skip the public gate,
+    and still pass it."""
+
+    def test_no_derived_word_runs_the_gate(self, abc, abcd, monkeypatch):
+        calls = []
+        gate = LinearWord.__post_init__
+
+        def counting(self):
+            calls.append(self.indices)
+            gate(self)
+
+        omega = CyclicWord(abcd.word("abcadbcd"))
+        word = abcd.word("abbcacad")
+        graph_vector = abcd.vector((3, 2, 1, 2))
+        search_vector = abcd.vector((2, 1, 3, 1))
+        class_vector = abcd.vector((2, 2, 2, 2))
+        monkeypatch.setattr(LinearWord, "__post_init__", counting)
+        construct_singular(abcd.vector((5, 3, 6, 2)))
+        construct_singular(abc.vector((1, 1, 3996)))
+        for kind in (SyncKind.PLAIN, SyncKind.ALT):
+            build_exchange_graph(graph_vector, kind)
+        assert len(list(enumerate_class(class_vector))) == necklace_count(class_vector)
+        splits = list(split_points(omega))
+        for valuation in ("regular", "semiregular"):
+            for direction in ("max", "min"):
+                search(search_vector, (2, 3, 5, 7), valuation, direction)
+        for b in "abcd":
+            xi_preimage(b, xi_linear(b, word))
+            xi_preimage(b, xi_cyclic(b, omega))
+        christoffel(1000, 1827)
+        exchange(omega, splits[0])
+        assert calls == []
+        LinearWord(abcd, (1, 0))  # the patch is live
+        assert calls == [(1, 0)]
+
+    @pytest.mark.parametrize("letters,max_total", [(1, 6), (2, 12), (3, 9), (4, 7)])
+    def test_every_derived_word_passes_the_gate(self, letters, max_total):
+        alphabet = alphabet_of_size(letters)
+        for n in range(1, max_total + 1):
+            for counts in nonnegative_compositions(n, letters):
+                for w in _derived_words(alphabet, counts):
+                    if w is None:  # no preimage
+                        continue
+                    t = w.indices
+                    assert type(t) is tuple and all(
+                        type(i) is int and 0 <= i < letters for i in t), (counts, w)
+                    if isinstance(w, CyclicWord):
+                        assert least_rotation_index(t) == 0, (counts, w)
+                        assert w == CyclicWord(LinearWord(alphabet, t)), (counts, w)
+                    else:
+                        assert w == LinearWord(alphabet, t), (counts, w)
 
 
 class TestReverse:
@@ -291,7 +382,7 @@ class TestCanonicalize:
             for t in product(range(letters), repeat=n):
                 if t != naive_canonical(t):
                     continue
-                known = _known_necklace(alphabet, t)
+                known = _trusted_necklace(alphabet, t)
                 gated = CyclicWord(LinearWord(alphabet, t))
                 assert known == gated and gated == known
                 assert hash(known) == hash(gated)
